@@ -20,7 +20,10 @@ window's compensator state.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import socket
+import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +39,7 @@ from .session import (SessionConfig, SessionError, SessionReport, USERS,
                       sample_window_slots, sift, summarize_sifted)
 from .decoy import TallySet
 from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
-                   SessionEnd, WindowSummary, encode_message)
+                   SessionEnd, WindowSummary, WireError, encode_message)
 
 SOCKET_TIMEOUT_S = 60.0
 
@@ -373,38 +376,147 @@ def run_in_process(config: SessionConfig) -> SessionReport:
 # ---------------------------------------------------------------------------
 # Networked transport
 # ---------------------------------------------------------------------------
+#
+# Every frame is a small request or reply, so both ends set TCP_NODELAY:
+# with Nagle's algorithm on, each small write after the first waits for
+# the peer's delayed ACK (RFC 896, RFC 1122 4.2.3.2).  The parent waits
+# on a socket together with every child's sentinel, so a user process
+# that ends is noticed at once and named; SOCKET_TIMEOUT_S only bounds a
+# peer that is alive but silent.
 
-def _user_process_main(name: str, config: SessionConfig, port: int) -> None:
+def _user_process_main(name: str, config: SessionConfig, port: int,
+                       errors) -> None:
+    """Child entry point: run one user, reporting any exception to the parent."""
+    try:
+        _serve_user(name, config, port)
+    except Exception:
+        errors.send_bytes(traceback.format_exc().encode("utf-8"))
+        sys.exit(1)
+
+
+def _serve_user(name: str, config: SessionConfig, port: int) -> None:
     node = UserNode(name, config)
     decoder = FrameDecoder()
     with socket.create_connection(("127.0.0.1", port),
                                   timeout=SOCKET_TIMEOUT_S) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.sendall(encode_message(node.initial_message()))
         while not node.finished:
             data = conn.recv(65536)
             if not data:
                 raise SessionError(f"{name}: connection closed mid-session")
-            for message in decoder.feed(data):
-                for reply in node.handle(message):
-                    conn.sendall(encode_message(reply))
+            replies = [encode_message(reply)
+                       for message in decoder.feed(data)
+                       for reply in node.handle(message)]
+            if replies:
+                conn.sendall(b"".join(replies))
+
+
+class _UserProcess:
+    """One user's child process and the pipe it reports its exception on."""
+
+    def __init__(self, ctx, name: str, config: SessionConfig, port: int):
+        self.name = name
+        self.errors, child_end = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=_user_process_main,
+                                args=(name, config, port, child_end),
+                                daemon=True)
+        self.proc.start()
+        child_end.close()
+
+    def failure(self) -> SessionError:
+        """The error for this user dropping out of the session."""
+        # Read before joining: a report larger than the pipe buffer keeps
+        # the child alive until it is read.  The pipe turns readable with
+        # the report, or at EOF once the child is gone.
+        detail = "no exception reported"
+        if self.errors.poll(SOCKET_TIMEOUT_S):
+            try:
+                detail = self.errors.recv_bytes().decode("utf-8", "replace")
+            except EOFError:
+                pass
+        self.proc.join(SOCKET_TIMEOUT_S)
+        if self.proc.exitcode is None:
+            return SessionError(f"user {self.name} closed its connection "
+                                "but its process is still running")
+        return SessionError(f"user {self.name} process exited with code "
+                            f"{self.proc.exitcode}: {detail.rstrip()}")
+
+    def stop(self, failed: bool) -> None:
+        # After a failure a child may still sit unaccepted in the listen
+        # backlog, which the forked children keep open, so it would never
+        # see EOF: stop it instead of waiting.
+        if not failed:
+            self.proc.join(timeout=30.0)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+        self.errors.close()
+
+
+def _await_readable(handles: list, users: dict, silence: str) -> None:
+    """Block until one of `handles` is readable or a user process ends.
+
+    An ended user raises its failure at once; no readiness within
+    SOCKET_TIMEOUT_S raises `silence`.
+    """
+    by_sentinel = {user.proc.sentinel: user for user in users.values()}
+    ready = multiprocessing.connection.wait([*handles, *by_sentinel],
+                                            SOCKET_TIMEOUT_S)
+    for handle in ready:
+        if handle in by_sentinel:
+            raise by_sentinel[handle].failure()
+    if not ready:
+        raise SessionError(f"{silence} within {SOCKET_TIMEOUT_S:g} s")
 
 
 class _UserConnection:
     """Server-side view of one connected user."""
 
-    def __init__(self, conn: socket.socket):
+    def __init__(self, conn: socket.socket, users: dict):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.settimeout(SOCKET_TIMEOUT_S)
         self.conn = conn
+        self.users = users
+        self.name: str | None = None  # set from the opening message
         self.decoder = FrameDecoder()
         self.inbox: list = []
 
+    def _who(self) -> str:
+        return "a connecting user" if self.name is None else f"user {self.name}"
+
     def read_message(self):
-        """Block until one decoded message is available, then return it."""
+        """Wait until one decoded message is available, then return it."""
         while not self.inbox:
-            data = self.conn.recv(65536)
+            _await_readable([self.conn], self.users,
+                            f"{self._who()} sent nothing")
+            try:
+                data = self.conn.recv(65536)
+            except OSError as exc:
+                raise self._dropped() from exc
             if not data:
-                raise SessionError("user connection closed mid-session")
-            self.inbox.extend(self.decoder.feed(data))
+                raise self._dropped()
+            try:
+                self.inbox.extend(self.decoder.feed(data))
+            except WireError as exc:
+                raise SessionError(
+                    f"{self._who()} sent a malformed frame: {exc}") from exc
         return self.inbox.pop(0)
+
+    def send(self, data: bytes) -> None:
+        try:
+            self.conn.sendall(data)
+        except OSError as exc:
+            raise self._dropped() from exc
+
+    def _dropped(self) -> SessionError:
+        """The error for a connection its user closed or broke."""
+        if self.name is None:
+            # Only the opening message names the user; the process that
+            # ends is the one that dropped, and the wait raises its failure.
+            _await_readable([], self.users, "a user closed its connection "
+                            "before its opening message and kept running")
+        return self.users[self.name].failure()
 
 
 def run_networked(config: SessionConfig) -> SessionReport:
@@ -414,45 +526,49 @@ def run_networked(config: SessionConfig) -> SessionReport:
     # the children only run socket I/O plus small-array bookkeeping.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        server.settimeout(SOCKET_TIMEOUT_S)
+    server = socket.create_server(("127.0.0.1", 0))
+    users: dict = {}
+    accepted: list = []
+    failed = True
+    try:
         port = server.getsockname()[1]
-        procs = [ctx.Process(target=_user_process_main,
-                             args=(name, config, port), daemon=True)
-                 for name in USERS]
-        for proc in procs:
-            proc.start()
-        try:
-            connections = {}
-            for _ in USERS:
-                conn, _addr = server.accept()
-                conn.settimeout(SOCKET_TIMEOUT_S)
-                wrapped = _UserConnection(conn)
-                first = wrapped.read_message()
-                if not isinstance(first, CompensatorState):
-                    raise SessionError("user connection must open with its "
-                                       "compensator state")
-                connections[first.user] = (wrapped, first)
-            if set(connections) != set(USERS):
+        for name in USERS:
+            users[name] = _UserProcess(ctx, name, config, port)
+        links: dict = {}
+        openings: dict = {}
+        for _ in USERS:
+            _await_readable([server], users, "no user connected")
+            conn, _addr = server.accept()
+            link = _UserConnection(conn, users)
+            accepted.append(link)
+            first = link.read_message()
+            if not isinstance(first, CompensatorState):
+                raise SessionError("user connection must open with its "
+                                   "compensator state")
+            if first.user not in users or first.user in links:
                 raise SessionError("both users must connect exactly once")
+            link.name = first.user
+            links[first.user] = link
+            openings[first.user] = first
 
-            # Replay the opening messages in fixed user order, then keep
-            # serving windows until the node reports completion.
-            pending = {name: [connections[name][1]] for name in USERS}
-            while not charlie.finished:
-                for name in USERS:
-                    wrapped = connections[name][0]
-                    message = (pending[name].pop(0) if pending[name]
-                               else wrapped.read_message())
-                    for dest, reply in charlie.handle(message):
-                        connections[dest][0].conn.sendall(encode_message(reply))
+        # Replay the opening messages in fixed user order, then keep
+        # serving windows until the node reports completion.  Each
+        # destination gets its replies to one message in one write.
+        while not charlie.finished:
             for name in USERS:
-                connections[name][0].conn.close()
-        finally:
-            for proc in procs:
-                proc.join(timeout=30.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join()
+                message = (openings.pop(name) if name in openings
+                           else links[name].read_message())
+                frames: dict = {}
+                for dest, reply in charlie.handle(message):
+                    frames.setdefault(dest, []).append(encode_message(reply))
+                for dest, parts in frames.items():
+                    links[dest].send(b"".join(parts))
+        failed = False
+    finally:
+        for link in accepted:
+            link.conn.close()
+        server.close()
+        for user in users.values():
+            user.stop(failed)
     assert charlie.report is not None
     return charlie.report

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 PROTOCOL_VERSION = 1
 HEADER = struct.Struct(">I")
@@ -122,17 +122,20 @@ MESSAGE_TYPES = {cls.type_tag: cls for cls in (
 ANNOUNCEMENT_TYPES = (BsmResult, BasisIntensityReveal, PolarizationBitReveal,
                       MisalignmentAnnouncement)
 
+# Field names per type tag.  Fields hold only JSON scalars, tuples (which
+# json writes as arrays) and flat dicts, so no recursive copy is needed.
+_FIELDS = {tag: tuple(f.name for f in fields(cls))
+           for tag, cls in MESSAGE_TYPES.items()}
+
 
 def encode_message(message) -> bytes:
     """Serialize a message dataclass into one self-delimiting frame."""
     tag = getattr(type(message), "type_tag", None)
     if tag not in MESSAGE_TYPES or not isinstance(message, MESSAGE_TYPES[tag]):
         raise WireError(f"cannot encode object of type {type(message).__name__}")
-    payload = asdict(message)
+    payload = {name: getattr(message, name) for name in _FIELDS[tag]}
     payload["type"] = tag
     payload["v"] = PROTOCOL_VERSION
-    if isinstance(payload.get("retardances"), tuple):
-        payload["retardances"] = list(payload["retardances"])
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:

@@ -1,0 +1,142 @@
+"""Networked transport: failure injection and socket options.
+
+The failures are injected with monkeypatch; the fork start method
+carries the patches into the user processes.  Every injected failure
+must surface as a SessionError that names its cause, in well under the
+transport's last-resort socket timeout.
+"""
+
+import multiprocessing
+import os
+import socket
+import time
+from pathlib import Path
+
+import pytest
+
+from mdiqkd_polcomp import nodes
+from mdiqkd_polcomp.cli import EXIT_CONFIG, main
+from mdiqkd_polcomp.session import SessionConfig, SessionError, run_session
+from mdiqkd_polcomp.wire import (CompensatorState, MisalignmentAnnouncement,
+                                 encode_message)
+
+pytestmark = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="failure injection reaches the user processes only under fork")
+
+FAIL_FAST_S = 2.0
+
+
+def networked_config(**overrides) -> SessionConfig:
+    # 60 s at the 15 s basis period: windows 0 to 3.
+    defaults = dict(duration_s=60.0, rep_rate_hz=1e5, seed=7,
+                    initial_misalignment_a=0.1,
+                    initial_misalignment_b=0.1, mode="networked")
+    defaults.update(overrides)
+    return SessionConfig(**defaults)
+
+
+def session_error(config: SessionConfig) -> tuple:
+    """Run a session that must fail; return its message and wall time."""
+    start = time.perf_counter()
+    with pytest.raises(SessionError) as info:
+        run_session(config)
+    return str(info.value), time.perf_counter() - start
+
+
+def test_user_dying_before_connecting_is_named(monkeypatch):
+    init = nodes.UserNode.__init__
+
+    def failing_init(self, name, config):
+        if name == "bob":
+            raise RuntimeError("injected: bob cannot start")
+        init(self, name, config)
+
+    monkeypatch.setattr(nodes.UserNode, "__init__", failing_init)
+    message, wall = session_error(networked_config())
+    assert "user bob process exited with code 1" in message
+    assert "RuntimeError: injected: bob cannot start" in message
+    assert wall < FAIL_FAST_S
+
+
+def test_user_raising_mid_session_is_named(monkeypatch):
+    handle = nodes.UserNode.handle
+
+    def failing_handle(self, message):
+        if (self.name == "alice" and isinstance(message, MisalignmentAnnouncement)
+                and message.window == 3):
+            raise ValueError("injected: alice fails at window 3")
+        return handle(self, message)
+
+    monkeypatch.setattr(nodes.UserNode, "handle", failing_handle)
+    message, wall = session_error(networked_config())
+    assert "user alice process exited with code 1" in message
+    assert "ValueError: injected: alice fails at window 3" in message
+    # The child's traceback travels with the error.
+    assert "Traceback (most recent call last)" in message
+    assert wall < FAIL_FAST_S
+
+
+def test_user_sending_a_garbage_frame_is_named(monkeypatch):
+    def garbling_encode(message):
+        if isinstance(message, CompensatorState) and message.window == 3:
+            return b"\x00\x00\x00\x05{oops"
+        return encode_message(message)
+
+    # Only users encode compensator states, so the parent's frames are
+    # unchanged.
+    monkeypatch.setattr(nodes, "encode_message", garbling_encode)
+    message, wall = session_error(networked_config())
+    assert message.startswith("user alice sent a malformed frame")
+    assert wall < FAIL_FAST_S
+
+
+def test_measurement_node_failure_is_not_held_up_by_the_users(monkeypatch):
+    run_window = nodes.CharlieNode._run_window
+
+    def failing_window(self, index, states):
+        if index == 3:
+            raise SessionError("injected: measurement node fails at window 3")
+        return run_window(self, index, states)
+
+    monkeypatch.setattr(nodes.CharlieNode, "_run_window", failing_window)
+    message, wall = session_error(networked_config())
+    assert message == "injected: measurement node fails at window 3"
+    assert wall < FAIL_FAST_S
+
+
+def test_cli_reports_a_dead_user_as_an_exit_code(monkeypatch, tmp_path,
+                                                 capsys):
+    def failing_init(self, name, config):
+        raise RuntimeError(f"injected: {name} cannot start")
+
+    monkeypatch.setattr(nodes.UserNode, "__init__", failing_init)
+    ini = tmp_path / "small.ini"
+    ini.write_text("[session]\nduration_s = 60\nrep_rate_hz = 100000\n",
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(ini), "--mode", "networked",
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "process exited with code 1" in err
+    assert "RuntimeError: injected:" in err
+
+
+def test_both_ends_of_a_live_session_disable_nagle(monkeypatch, tmp_path):
+    sendall = socket.socket.sendall
+
+    def recording_sendall(self, data, *args):
+        flag = self.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        with open(tmp_path / f"{os.getpid()}.txt", "a",
+                  encoding="utf-8") as out:
+            out.write(f"{flag}\n")
+        return sendall(self, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+    run_session(networked_config())
+    flags = {path.stem: path.read_text(encoding="utf-8").split()
+             for path in Path(tmp_path).glob("*.txt")}
+    # The measurement node and both user processes wrote.
+    assert str(os.getpid()) in flags
+    assert len(flags) == 3
+    for values in flags.values():
+        assert values and all(int(value) != 0 for value in values)

@@ -16,9 +16,14 @@ relative optical phase phi:
 
 and each detector clicks independently with 1 - (1 - d) exp(-eta I_m).
 Since phi is uniform and independent per slot, slot outcomes are i.i.d.
-draws from the phase-averaged class probabilities; the average is
-evaluated on a uniform phase grid, which converges exponentially for
-these periodic integrands.
+draws from the phase-averaged class probabilities.  Every class follows
+from three no-click probabilities (arm 0 dark, arm 1 dark, both dark),
+each of the form (1 - d)^k <exp(-eta (c0 + Re(c1 e^{i phi})))>, and that
+phase average has the closed form exp(-eta c0) I0(eta |c1|) (Xu, Curty,
+Qi & Lo, NJP 15, 113007 (2013)).  The classes are written as products
+of per-arm click and no-click probabilities and the arms' phase
+correlation, never as differences of numbers close to one, so that the
+near-vacuum both-click cells (about 1e-10) keep their relative precision.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e
 
 from .polarization import JONES_STATES
 
@@ -34,9 +40,6 @@ OUTCOME_PSI_PLUS = "psi_plus"
 OUTCOME_SINGLE_FIRST = "single_first"
 OUTCOME_SINGLE_SECOND = "single_second"
 OUTCOME_NO_CLICK = "no_click"
-# Reserved for detector layouts that can flag other double clicks; the
-# two-detector port used here never produces it.
-OUTCOME_DOUBLE_OTHER = "double_other"
 
 OUTCOME_CLASSES = (OUTCOME_PSI_PLUS, OUTCOME_SINGLE_FIRST,
                    OUTCOME_SINGLE_SECOND, OUTCOME_NO_CLICK)
@@ -46,8 +49,6 @@ ARM_PROJECTORS = {
     "Z": np.array([JONES_STATES["H"], JONES_STATES["V"]]).conj(),
     "X": np.array([JONES_STATES["D"], JONES_STATES["A"]]).conj(),
 }
-
-DEFAULT_PHASE_GRID = 64
 
 
 class BsmError(ValueError):
@@ -107,26 +108,6 @@ class BasisSchedule:
         return int(math.floor(duration / self.period + 1e-9))
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One slot's detection result."""
-
-    slot: int
-    basis: str
-    outcome: str
-    clicks: tuple[bool, bool]
-
-
-def classify(click_first: bool, click_second: bool) -> str:
-    if click_first and click_second:
-        return OUTCOME_PSI_PLUS
-    if click_first:
-        return OUTCOME_SINGLE_FIRST
-    if click_second:
-        return OUTCOME_SINGLE_SECOND
-    return OUTCOME_NO_CLICK
-
-
 def output_intensities(jones_a: np.ndarray, mu_a: float,
                        jones_b: np.ndarray, mu_b: float,
                        basis: str, phase: float):
@@ -162,15 +143,15 @@ def click_probabilities(intensities: np.ndarray,
     return 1.0 - (1.0 - params.dark_prob) * np.exp(-params.efficiency * intensities)
 
 
-def sample_outcome(intensities: np.ndarray, params: DetectorParams,
-                   rng: np.random.Generator, slot: int = 0,
-                   basis: str = "Z") -> OutcomeRecord:
-    """Draw one slot's outcome from independent per-arm clicks."""
-    probs = click_probabilities(intensities, params)
-    clicks = rng.random(2) < probs
-    return OutcomeRecord(slot=slot, basis=basis,
-                         outcome=classify(bool(clicks[0]), bool(clicks[1])),
-                         clicks=(bool(clicks[0]), bool(clicks[1])))
+def arm_amplitudes(states: np.ndarray, mus: np.ndarray,
+                   basis: str) -> np.ndarray:
+    """Arm amplitudes <m|psi> sqrt(mu) for a stack of input states.
+
+    Row k holds the two arm amplitudes of states[k] at mean photon
+    number mus[k], before the beam splitter's 1/sqrt(2).
+    """
+    return np.asarray(states, dtype=complex) @ ARM_PROJECTORS[basis].T \
+        * np.sqrt(np.asarray(mus, dtype=float))[:, None]
 
 
 def phase_coefficients(states_a: np.ndarray, mus_a: np.ndarray,
@@ -182,58 +163,81 @@ def phase_coefficients(states_a: np.ndarray, mus_a: np.ndarray,
     c0[i, j, m] + Re(c1[i, j, m] e^{i phi}).  states_* are stacks of
     Jones vectors, mus_* the matching mean photon numbers.
     """
-    bras = ARM_PROJECTORS[basis]
-    amps_a = np.asarray(states_a, dtype=complex) @ bras.T \
-        * np.sqrt(np.asarray(mus_a, dtype=float))[:, None]
-    amps_b = np.asarray(states_b, dtype=complex) @ bras.T \
-        * np.sqrt(np.asarray(mus_b, dtype=float))[:, None]
+    amps_a = arm_amplitudes(states_a, mus_a, basis)
+    amps_b = arm_amplitudes(states_b, mus_b, basis)
     c0 = (np.abs(amps_a[:, None, :]) ** 2 + np.abs(amps_b[None, :, :]) ** 2) / 2.0
     c1 = amps_a.conj()[:, None, :] * amps_b[None, :, :]
     return c0, c1
 
 
+# Terms of the I0 series kept below _I0_SERIES_LIMIT; the first one
+# dropped is below 1e-17 relative there.
+_I0_SERIES_TERMS = 12
+_I0_SERIES_LIMIT = 2.0
+
+
+def _log_i0(z: np.ndarray) -> np.ndarray:
+    """log I0(z), accurate relative to I0(z) - 1 for small z.
+
+    Near z = 0, log(I0(z)) would round I0(z) = 1 + z^2/4 + ... to the
+    nearest double and lose the z^2/4 that near-vacuum cells depend on,
+    so there the series I0(z) - 1 = sum_k (z^2/4)^k / (k!)^2 is summed
+    directly and passed to log1p.
+    """
+    q = (z / 2.0) ** 2
+    series = np.ones_like(q)
+    for k in range(_I0_SERIES_TERMS, 1, -1):
+        series = 1.0 + series * q / k ** 2
+    return np.where(z < _I0_SERIES_LIMIT, np.log1p(q * series),
+                    z + np.log(i0e(z)))
+
+
 def class_probability_grid(states_a: np.ndarray, mus_a: np.ndarray,
                            states_b: np.ndarray, mus_b: np.ndarray,
-                           basis: str, params: DetectorParams,
-                           n_phase: int = DEFAULT_PHASE_GRID) -> np.ndarray:
+                           basis: str, params: DetectorParams) -> np.ndarray:
     """Phase-averaged outcome-class probabilities for all input pairs.
 
     Returns an array of shape (len(states_a), len(states_b), 4) ordered
-    as OUTCOME_CLASSES.  The average over the uniform relative phase is
-    taken on an n_phase-point grid.
+    as OUTCOME_CLASSES.  With q_m = exp(L_m) the probability that arm m
+    stays dark and q_0 q_1 exp(D) that both do, the classes are
+    (1 - q_0)(1 - q_1) + q_0 q_1 (exp(D) - 1), q_1 (1 - exp(L_0 + D)),
+    q_0 (1 - exp(L_1 + D)) and q_0 q_1 exp(D); D, the arms' phase
+    correlation, vanishes when either arm gets no interfering light.
     """
     c0, c1 = phase_coefficients(states_a, mus_a, states_b, mus_b, basis)
-    phases = np.exp(1.0j * 2.0 * math.pi * np.arange(n_phase) / n_phase)
-    intensity = c0[..., None] + np.real(c1[..., None] * phases)
-    p_click = 1.0 - (1.0 - params.dark_prob) \
-        * np.exp(-params.efficiency * intensity)
-    p_first, p_second = p_click[..., 0, :], p_click[..., 1, :]
-    stacked = np.stack([
-        p_first * p_second,
-        p_first * (1.0 - p_second),
-        (1.0 - p_first) * p_second,
-        (1.0 - p_first) * (1.0 - p_second),
-    ], axis=-2)
-    return stacked.mean(axis=-1)
+    eta = params.efficiency
+    log_i0_arms = _log_i0(eta * np.abs(c1))
+    log_quiet = math.log1p(-params.dark_prob) - eta * c0 + log_i0_arms
+    log_corr = _log_i0(eta * np.abs(c1.sum(axis=-1))) \
+        - log_i0_arms.sum(axis=-1)
+    log_first, log_second = log_quiet[..., 0], log_quiet[..., 1]
+    quiet_first, quiet_second = np.exp(log_first), np.exp(log_second)
+    both_quiet = quiet_first * quiet_second
+    return np.stack([
+        np.expm1(log_first) * np.expm1(log_second)
+        + both_quiet * np.expm1(log_corr),
+        -quiet_second * np.expm1(log_first + log_corr),
+        -quiet_first * np.expm1(log_second + log_corr),
+        both_quiet * np.exp(log_corr),
+    ], axis=-1)
 
 
 def class_probabilities(jones_a: np.ndarray, mu_a: float,
                         jones_b: np.ndarray, mu_b: float,
-                        basis: str, params: DetectorParams,
-                        n_phase: int = DEFAULT_PHASE_GRID) -> np.ndarray:
+                        basis: str, params: DetectorParams) -> np.ndarray:
     """Phase-averaged class probabilities for one input pair."""
     grid = class_probability_grid(
         np.asarray(jones_a, dtype=complex)[None, :], np.array([mu_a]),
         np.asarray(jones_b, dtype=complex)[None, :], np.array([mu_b]),
-        basis, params, n_phase)
+        basis, params)
     return grid[0, 0]
 
 
 def pair_gain_and_qber(pair_basis: str, meas_basis: str,
                        mu_a: float, mu_b: float, params: DetectorParams,
                        channel_a: np.ndarray | None = None,
-                       channel_b: np.ndarray | None = None,
-                       n_phase: int = DEFAULT_PHASE_GRID) -> tuple[float, float]:
+                       channel_b: np.ndarray | None = None
+                       ) -> tuple[float, float]:
     """Analytic gain and error rate for same-basis sender pairs.
 
     Both senders prepare in pair_basis with uniform independent bits while
@@ -256,7 +260,7 @@ def pair_gain_and_qber(pair_basis: str, meas_basis: str,
         states_b = states
     grid = class_probability_grid(states_a, np.full(2, float(mu_a)),
                                   states_b, np.full(2, float(mu_b)),
-                                  meas_basis, params, n_phase)
+                                  meas_basis, params)
     coincidence = grid[..., 0]
     gain = float(coincidence.mean())
     anticorrelated = coincidence[0, 1] + coincidence[1, 0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .bsm import DEFAULT_PHASE_GRID, DetectorParams, pair_gain_and_qber
+from .bsm import DetectorParams, pair_gain_and_qber
 
 __all__ = [
     "CalibrationError",
@@ -42,27 +42,25 @@ class CalibrationResult:
     target_gain: float
     achieved_gain: float
     signal_intensity: float
-    n_phase: int
 
     @property
     def residual(self) -> float:
         return self.achieved_gain - self.target_gain
 
 
-def predicted_signal_gain(efficiency: float, dark_prob: float,
-                          signal_intensity: float = DEFAULT_SIGNAL_INTENSITY,
-                          n_phase: int = DEFAULT_PHASE_GRID) -> float:
+def predicted_signal_gain(
+        efficiency: float, dark_prob: float,
+        signal_intensity: float = DEFAULT_SIGNAL_INTENSITY) -> float:
     """Same-basis signal gain for aligned channels, averaged over bits."""
     params = DetectorParams(efficiency=efficiency, dark_prob=dark_prob)
     gain, _ = pair_gain_and_qber("Z", "Z", signal_intensity,
-                                 signal_intensity, params, n_phase=n_phase)
+                                 signal_intensity, params)
     return gain
 
 
 def fit_efficiency(target_gain: float = DEFAULT_TARGET_GAIN,
                    signal_intensity: float = DEFAULT_SIGNAL_INTENSITY,
                    dark_prob: float = DEFAULT_DARK_PROB,
-                   n_phase: int = DEFAULT_PHASE_GRID,
                    tolerance: float = 1e-12) -> CalibrationResult:
     """Solve for the efficiency whose signal gain equals target_gain."""
     if not target_gain > 0.0:
@@ -72,24 +70,21 @@ def fit_efficiency(target_gain: float = DEFAULT_TARGET_GAIN,
         raise CalibrationError(f"signal intensity must be positive, "
                                f"got {signal_intensity}")
     floor_eff = 1e-9
-    floor = predicted_signal_gain(floor_eff, dark_prob, signal_intensity,
-                                  n_phase)
-    ceiling = predicted_signal_gain(1.0, dark_prob, signal_intensity,
-                                    n_phase)
+    floor = predicted_signal_gain(floor_eff, dark_prob, signal_intensity)
+    ceiling = predicted_signal_gain(1.0, dark_prob, signal_intensity)
     if not floor < target_gain < ceiling:
         raise CalibrationError(
             f"target gain {target_gain} outside the reachable range "
             f"({floor:.3e} at the dark-count floor, {ceiling:.3e} at "
             f"unit efficiency)")
     efficiency = brentq(
-        lambda eta: predicted_signal_gain(eta, dark_prob, signal_intensity,
-                                          n_phase) - target_gain,
+        lambda eta: predicted_signal_gain(eta, dark_prob, signal_intensity)
+        - target_gain,
         floor_eff, 1.0, xtol=tolerance)
     detector = DetectorParams(efficiency=float(efficiency),
                               dark_prob=dark_prob)
     achieved = predicted_signal_gain(detector.efficiency, dark_prob,
-                                     signal_intensity, n_phase)
+                                     signal_intensity)
     return CalibrationResult(detector=detector, target_gain=target_gain,
                              achieved_gain=achieved,
-                             signal_intensity=signal_intensity,
-                             n_phase=n_phase)
+                             signal_intensity=signal_intensity)

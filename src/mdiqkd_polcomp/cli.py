@@ -157,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--dark", type=float,
                      help="dark-click probability per slot "
                           "(default: from config)")
-    cal.add_argument("--n-phase", type=int,
-                     help="phase-averaging grid size (default: from config)")
     cal.add_argument("--out", metavar="DIR",
                      help="also write detector.ini into DIR")
     return parser
@@ -463,10 +461,8 @@ def _cmd_calibrate(args) -> int:
     config = _resolve_config(args)
     mu = args.mu if args.mu is not None else config.table_a.mu
     dark = args.dark if args.dark is not None else config.detector.dark_prob
-    n_phase = args.n_phase if args.n_phase is not None else config.n_phase
     result = fit_efficiency(target_gain=args.target_gain,
-                            signal_intensity=mu,
-                            dark_prob=dark, n_phase=n_phase)
+                            signal_intensity=mu, dark_prob=dark)
     lines = ["[detector]",
              f"efficiency = {_fmt(result.detector.efficiency)}",
              f"dark_prob = {_fmt(result.detector.dark_prob)}",

@@ -51,7 +51,6 @@ _SCHEMA = {
         "mode": str,
         "sampling": str,
         "compensation_enabled": bool,
-        "n_phase": int,
         "reference_smoothing": float,
         "bound_method": str,
         "error_correction_efficiency": float,

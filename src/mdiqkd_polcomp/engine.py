@@ -15,6 +15,10 @@ therefore exact multinomials:
      probabilities for the channel-rotated states, sampled as one
      multinomial per combination.
 
+The basis, bit and intensity rules that route those counts (tally
+cells, key candidates, recyclable singles) are stated once, as boolean
+masks over the decision pairs (pair_masks).
+
 Aggregating those counts reproduces the exact joint distribution of
 every quantity the session tracks (tallies, estimator counts,
 conservation classes) without touching individual slots.
@@ -23,10 +27,13 @@ conservation classes) without touching individual slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
-from .bsm import (DEFAULT_PHASE_GRID, DetectorParams, class_probability_grid)
+from .bsm import DetectorParams, class_probability_grid
 from .decoy import TallySet
 from .polarization import BASIS_STATES, bb84_state
 from .transmitter import BASIS_LABELS, INTENSITY_LABELS, IntensityTable
@@ -40,18 +47,24 @@ PSI_PLUS, SINGLE_FIRST, SINGLE_SECOND, NO_CLICK = range(N_OUTCOME_CLASSES)
 CONSERVATION_CLASSES = ("key_candidate", "recycled", "decoy_coincidence",
                         "discarded")
 
+# TallySet cells (preparation basis, intensity A, intensity B); the
+# cell of basis b and intensity indices (x, y) sits at 9*b + 3*x + y.
+TALLY_CELLS = tuple(product(BASIS_LABELS, INTENSITY_LABELS,
+                            INTENSITY_LABELS))
+
 
 class EngineError(ValueError):
     """Raised for invalid engine inputs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionClasses:
     """The 12 per-sender decision classes and their probabilities.
 
     Class index layout: basis-major, then bit, then intensity, i.e.
     index = 6*basis + 3*bit + intensity with basis 0 = Z, and intensity
-    following INTENSITY_LABELS.
+    following INTENSITY_LABELS.  Instances compare and hash by
+    identity, which keys the pair_masks cache.
     """
 
     bases: np.ndarray
@@ -91,14 +104,60 @@ class DecisionClasses:
 def window_class_probabilities(classes_a: DecisionClasses,
                                classes_b: DecisionClasses,
                                channel_a: np.ndarray, channel_b: np.ndarray,
-                               meas_basis: str, params: DetectorParams,
-                               n_phase: int = DEFAULT_PHASE_GRID) -> np.ndarray:
+                               meas_basis: str,
+                               params: DetectorParams) -> np.ndarray:
     """Outcome-class probabilities (12, 12, 4) under frozen channels."""
     states_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
     states_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
     return class_probability_grid(states_a, classes_a.mean_photons,
                                   states_b, classes_b.mean_photons,
-                                  meas_basis, params, n_phase)
+                                  meas_basis, params)
+
+
+class PairMasks(NamedTuple):
+    """Boolean (len(classes_a), len(classes_b)) masks over decision pairs.
+
+    same_basis: both senders prepared in one basis (the tally cells).
+    wrong_bits: same basis, and a both-click is an error: equal bits in
+      the measured basis, different bits in its conjugate.
+    key_candidate: both senders in the measured basis at signal intensity.
+    recyclable_a, recyclable_b: the partner sent near-vacuum while the
+      named sender did not and prepared in the measured basis, so the
+      sender's single clicks feed its estimator.
+    """
+
+    same_basis: np.ndarray
+    wrong_bits: np.ndarray
+    key_candidate: np.ndarray
+    recyclable_a: np.ndarray
+    recyclable_b: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def pair_masks(classes_a: DecisionClasses, classes_b: DecisionClasses,
+               meas_basis: str) -> PairMasks:
+    """The routing rules of one window's measurement basis as PairMasks.
+
+    Cached per (classes_a, classes_b, meas_basis); the masks are shared
+    between calls and therefore read-only.
+    """
+    meas_idx = BASIS_LABELS.index(meas_basis)
+    measured_a = (classes_a.bases == meas_idx)[:, None]
+    measured_b = (classes_b.bases == meas_idx)[None, :]
+    omega_a = (classes_a.intensities == OMEGA_INDEX)[:, None]
+    omega_b = (classes_b.intensities == OMEGA_INDEX)[None, :]
+    signal = ((classes_a.intensities == MU_INDEX)[:, None]
+              & (classes_b.intensities == MU_INDEX)[None, :])
+    same_basis = classes_a.bases[:, None] == classes_b.bases[None, :]
+    same_bits = classes_a.bits[:, None] == classes_b.bits[None, :]
+    masks = PairMasks(same_basis=same_basis,
+                      wrong_bits=same_basis & (same_bits == measured_a),
+                      key_candidate=same_basis & measured_a & signal,
+                      recyclable_a=omega_b & ~omega_a & measured_a,
+                      recyclable_b=omega_a & ~omega_b & measured_b)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
@@ -115,14 +174,10 @@ def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
     n_a, n_b = len(classes_a), len(classes_b)
     joint = np.outer(classes_a.probabilities, classes_b.probabilities).ravel()
     combo_counts = rng.multinomial(n_slots, joint).reshape(n_a, n_b)
-    outcome_counts = np.zeros((n_a, n_b, N_OUTCOME_CLASSES), dtype=np.int64)
-    for i in range(n_a):
-        for j in range(n_b):
-            count = int(combo_counts[i, j])
-            if count:
-                outcome_counts[i, j] = rng.multinomial(count,
-                                                       class_probs[i, j])
-    return combo_counts, outcome_counts
+    # Broadcast over the combinations in row-major order.  An empty
+    # combination draws no random numbers, so the stream equals one
+    # draw per occupied combination.
+    return combo_counts, rng.multinomial(combo_counts, class_probs)
 
 
 def accumulate_tallies(tallies: TallySet, classes_a: DecisionClasses,
@@ -134,21 +189,23 @@ def accumulate_tallies(tallies: TallySet, classes_a: DecisionClasses,
     Coincidences on a both-click pair are erroneous when the bits match
     in the measurement basis or differ in its conjugate.
     """
-    meas_idx = BASIS_LABELS.index(meas_basis)
-    for i in range(len(classes_a)):
-        for j in range(len(classes_b)):
-            if classes_a.bases[i] != classes_b.bases[j]:
-                continue
-            pair_basis = BASIS_LABELS[classes_a.bases[i]]
-            coincidences = int(outcome_counts[i, j, PSI_PLUS])
-            same_bits = classes_a.bits[i] == classes_b.bits[j]
-            wrong = same_bits if classes_a.bases[i] == meas_idx else not same_bits
-            tallies.record(pair_basis,
-                           INTENSITY_LABELS[classes_a.intensities[i]],
-                           INTENSITY_LABELS[classes_b.intensities[j]],
-                           sent=int(combo_counts[i, j]),
-                           coincidences=coincidences,
-                           errors=coincidences if wrong else 0)
+    masks = pair_masks(classes_a, classes_b, meas_basis)
+    same = masks.same_basis
+    n_int, n_cells = len(INTENSITY_LABELS), len(TALLY_CELLS)
+    cell = ((classes_a.bases[:, None] * n_int
+             + classes_a.intensities[:, None]) * n_int
+            + classes_b.intensities[None, :])[same]
+    psi = outcome_counts[..., PSI_PLUS]
+    quantities = np.stack([combo_counts, psi, psi * masks.wrong_bits])
+    # Sent, coincidences and errors each fill their own block of cells.
+    totals = np.bincount(
+        (cell + n_cells * np.arange(3)[:, None]).ravel(),
+        weights=quantities[:, same].ravel(),
+        minlength=3 * n_cells).reshape(3, n_cells).astype(np.int64)
+    for (basis, intensity_a, intensity_b), (sent, coincidences, errors) \
+            in zip(TALLY_CELLS, totals.T.tolist()):
+        tallies.record(basis, intensity_a, intensity_b, sent=sent,
+                       coincidences=coincidences, errors=errors)
 
 
 def recycled_singles(classes_a: DecisionClasses, classes_b: DecisionClasses,
@@ -165,28 +222,19 @@ def recycled_singles(classes_a: DecisionClasses, classes_b: DecisionClasses,
     """
     if sender not in ("A", "B"):
         raise EngineError(f"sender must be 'A' or 'B', got {sender!r}")
-    meas_idx = BASIS_LABELS.index(meas_basis)
-    own, partner = (classes_a, classes_b) if sender == "A" else (classes_b,
-                                                                 classes_a)
-    counts = {}
-    for i in range(len(own)):
-        if own.intensities[i] == OMEGA_INDEX or own.bases[i] != meas_idx:
-            continue
-        wrong_class = SINGLE_SECOND if own.bits[i] == 0 else SINGLE_FIRST
-        right_class = SINGLE_FIRST if own.bits[i] == 0 else SINGLE_SECOND
-        n_wrong = 0
-        n_total = 0
-        for j in range(len(partner)):
-            if partner.intensities[j] != OMEGA_INDEX:
-                continue
-            cell = (outcome_counts[i, j] if sender == "A"
-                    else outcome_counts[j, i])
-            n_wrong += int(cell[wrong_class])
-            n_total += int(cell[wrong_class] + cell[right_class])
-        label = own.state_label(i)
-        prev_wrong, prev_total = counts.get(label, (0, 0))
-        counts[label] = (prev_wrong + n_wrong, prev_total + n_total)
-    return counts
+    masks = pair_masks(classes_a, classes_b, meas_basis)
+    if sender == "A":
+        own, recyclable, cells = classes_a, masks.recyclable_a, outcome_counts
+    else:
+        own, recyclable = classes_b, masks.recyclable_b.T
+        cells = outcome_counts.transpose(1, 0, 2)
+    # Per own class: recyclable singles on the (first, second) arm.
+    singles = (cells[..., SINGLE_FIRST:SINGLE_SECOND + 1]
+               * recyclable[..., None]).sum(axis=1)
+    labels = BASIS_STATES[meas_basis]
+    return {labels[bit]: (int(singles[own.bits == bit, 1 - bit].sum()),
+                          int(singles[own.bits == bit].sum()))
+            for bit in (0, 1)}
 
 
 def conservation_counts(classes_a: DecisionClasses,
@@ -203,34 +251,16 @@ def conservation_counts(classes_a: DecisionClasses,
       basis (feeds the tallies only).
     discarded: everything else, including all no-click slots.
     """
-    meas_idx = BASIS_LABELS.index(meas_basis)
-    counts = dict.fromkeys(CONSERVATION_CLASSES, 0)
-    for i in range(len(classes_a)):
-        for j in range(len(classes_b)):
-            cell = outcome_counts[i, j]
-            total = int(combo_counts[i, j])
-            psi = int(cell[PSI_PLUS])
-            singles = int(cell[SINGLE_FIRST] + cell[SINGLE_SECOND])
-            same_basis = classes_a.bases[i] == classes_b.bases[j]
-            both_meas = same_basis and classes_a.bases[i] == meas_idx
-            both_mu = (classes_a.intensities[i] == MU_INDEX
-                       and classes_b.intensities[j] == MU_INDEX)
-            if both_meas and both_mu:
-                counts["key_candidate"] += psi
-            elif same_basis:
-                counts["decoy_coincidence"] += psi
-            else:
-                counts["discarded"] += psi
-            a_omega = classes_a.intensities[i] == OMEGA_INDEX
-            b_omega = classes_b.intensities[j] == OMEGA_INDEX
-            recyclable = False
-            if b_omega and not a_omega and classes_a.bases[i] == meas_idx:
-                recyclable = True
-            if a_omega and not b_omega and classes_b.bases[j] == meas_idx:
-                recyclable = True
-            if recyclable:
-                counts["recycled"] += singles
-            else:
-                counts["discarded"] += singles
-            counts["discarded"] += total - psi - singles
+    masks = pair_masks(classes_a, classes_b, meas_basis)
+    psi = outcome_counts[..., PSI_PLUS]
+    singles = outcome_counts[..., SINGLE_FIRST] \
+        + outcome_counts[..., SINGLE_SECOND]
+    key = int(psi[masks.key_candidate].sum())
+    counts = {
+        "key_candidate": key,
+        "recycled": int(singles[masks.recyclable_a
+                                | masks.recyclable_b].sum()),
+        "decoy_coincidence": int(psi[masks.same_basis].sum()) - key,
+    }
+    counts["discarded"] = int(combo_counts.sum()) - sum(counts.values())
     return counts

@@ -211,7 +211,7 @@ class CharlieNode:
             class_probs = engine.window_class_probabilities(
                 self.classes["alice"], self.classes["bob"],
                 channels["alice"], channels["bob"], meas_basis,
-                self.config.detector, self.config.n_phase)
+                self.config.detector)
             combo_counts, outcome_counts = engine.sample_window_counts(
                 n_slots, self.classes["alice"], self.classes["bob"],
                 class_probs, self.rng)

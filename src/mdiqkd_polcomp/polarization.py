@@ -87,13 +87,6 @@ def require_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarra
     return matrix
 
 
-def stokes_vector(state: np.ndarray) -> np.ndarray:
-    """Stokes 3-vector (S1, S2, S3) of a normalized Jones vector."""
-    state = np.asarray(state, dtype=complex)
-    return np.array([np.real(state.conj() @ (PAULI[i] @ state))
-                     for i in range(3)])
-
-
 def rotation_about_stokes_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     """Unitary rotating the Poincare sphere by `angle` about Stokes axis `axis`."""
     axis = np.asarray(axis, dtype=float)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import engine
 from .bsm import (OUTCOME_CLASSES, OUTCOME_PSI_PLUS, OUTCOME_SINGLE_FIRST,
-                  OUTCOME_SINGLE_SECOND, ARM_PROJECTORS, BasisSchedule,
-                  DetectorParams)
+                  OUTCOME_SINGLE_SECOND, BasisSchedule, DetectorParams,
+                  arm_amplitudes)
 from .compensation import ControllerConfig
 from .decoy import (DEFAULT_ERROR_CORRECTION_EFFICIENCY, bound_y11_e11,
                     key_rate, p11)
@@ -65,7 +65,6 @@ class SessionConfig:
     seed: int = 0
     mode: str = "in-process"
     sampling: str = "aggregate"
-    n_phase: int = 64
     reference_smoothing: float = 0.3
     bound_method: str = "analytic"
     error_correction_efficiency: float = DEFAULT_ERROR_CORRECTION_EFFICIENCY
@@ -88,8 +87,6 @@ class SessionConfig:
             raise SessionError("networked mode supports aggregate sampling only")
         if not isinstance(self.seed, int):
             raise SessionError(f"seed must be an integer, got {self.seed!r}")
-        if not self.n_phase >= 4:
-            raise SessionError(f"n_phase must be >= 4, got {self.n_phase}")
         if not 0.0 < self.reference_smoothing <= 1.0:
             raise SessionError("reference_smoothing must be in (0, 1], got "
                                f"{self.reference_smoothing}")
@@ -307,11 +304,10 @@ def sample_window_slots(config: SessionConfig, window_index: int,
         - draw_phases(config.seed * 2 + 1, abs_slots)
     idx_a = bases_a * 6 + bits_a * 3 + ints_a
     idx_b = bases_b * 6 + bits_b * 3 + ints_b
-    bras = ARM_PROJECTORS[meas_basis]
     rotated_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
     rotated_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
-    amp_a = (rotated_a @ bras.T) * np.sqrt(classes_a.mean_photons)[:, None]
-    amp_b = (rotated_b @ bras.T) * np.sqrt(classes_b.mean_photons)[:, None]
+    amp_a = arm_amplitudes(rotated_a, classes_a.mean_photons, meas_basis)
+    amp_b = arm_amplitudes(rotated_b, classes_b.mean_photons, meas_basis)
     intensity = np.abs(amp_a[idx_a] + amp_b[idx_b]
                        * np.exp(1.0j * phases)[:, None]) ** 2 / 2.0
     p_click = 1.0 - (1.0 - config.detector.dark_prob) \

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import bb84_state
-
 INTENSITY_LABELS = ("mu", "nu", "omega")
 BASIS_LABELS = ("Z", "X")
 
@@ -71,19 +69,6 @@ class IntensityTable:
     def intensities(self) -> tuple[float, float, float]:
         return (self.mu, self.nu, self.omega)
 
-    def intensity(self, label: str) -> float:
-        return self.intensities[INTENSITY_LABELS.index(label)]
-
-
-@dataclass(frozen=True)
-class PulseDecision:
-    """One slot's transmit choice."""
-
-    slot: int
-    basis: str
-    bit: int
-    intensity: str
-
 
 @dataclass(frozen=True)
 class CoherentPulse:
@@ -136,32 +121,10 @@ def draw_decisions(seed: int, slots: np.ndarray, table: IntensityTable,
     return bits, bases, intensity_idx
 
 
-def draw_decision(slot: int, table: IntensityTable, seed: int,
-                  pattern_length: int | None = None) -> PulseDecision:
-    """Decision for a single slot; pure function of (seed, slot)."""
-    if slot < 0:
-        raise TransmitterError("slot must be nonnegative")
-    bits, bases, intensity_idx = draw_decisions(
-        seed, np.array([slot]), table, pattern_length)
-    return PulseDecision(slot=slot,
-                         basis=BASIS_LABELS[int(bases[0])],
-                         bit=int(bits[0]),
-                         intensity=INTENSITY_LABELS[int(intensity_idx[0])])
-
-
 def draw_phases(seed: int, slots: np.ndarray) -> np.ndarray:
     """Fresh uniform optical phase in [0, 2 pi) per slot."""
     words = _slot_words(seed, np.asarray(slots, dtype=np.uint64), _PHASE_STREAM)
     return _uniform_from_words(words) * (2.0 * math.pi)
-
-
-def prepare_pulse(decision: PulseDecision, table: IntensityTable,
-                  seed: int) -> CoherentPulse:
-    """Coherent pulse realizing a decision, with its own random phase."""
-    phase = float(draw_phases(seed, np.array([decision.slot]))[0])
-    return CoherentPulse(jones=bb84_state(decision.basis, decision.bit),
-                         mean_photons=table.intensity(decision.intensity),
-                         phase=phase)
 
 
 def decision_probabilities(table: IntensityTable) -> dict:
@@ -198,7 +161,3 @@ def reference_intensity_table() -> IntensityTable:
     """Default biased-probability settings for the three intensities."""
     return IntensityTable()
 
-
-def equal_thirds_table() -> IntensityTable:
-    """Alternate settings drawing each intensity with probability 1/3."""
-    return IntensityTable(p_mu=1.0 / 3.0, p_nu=1.0 / 3.0, p_omega=1.0 / 3.0)

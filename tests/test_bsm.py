@@ -8,7 +8,9 @@ from scipy import integrate
 
 from mdiqkd_polcomp import bsm
 from mdiqkd_polcomp import polarization as pol
-from mdiqkd_polcomp.transmitter import CoherentPulse
+from mdiqkd_polcomp.engine import DecisionClasses
+from mdiqkd_polcomp.transmitter import (INTENSITY_LABELS, CoherentPulse,
+                                        IntensityTable)
 
 
 def make_pulse(label, mean_photons, phase=0.0):
@@ -74,26 +76,6 @@ def test_click_probability_monotone_and_bounded():
         bsm.click_probabilities(np.array([-0.1]), params)
 
 
-def test_classify_all_cases():
-    assert bsm.classify(True, True) == bsm.OUTCOME_PSI_PLUS
-    assert bsm.classify(True, False) == bsm.OUTCOME_SINGLE_FIRST
-    assert bsm.classify(False, True) == bsm.OUTCOME_SINGLE_SECOND
-    assert bsm.classify(False, False) == bsm.OUTCOME_NO_CLICK
-
-
-def test_sample_outcome_matches_closed_form():
-    # Unit intensity in both arms with eta = 1 and no dark clicks gives a
-    # joint-click probability of (1 - e^{-1})^2.
-    params = bsm.DetectorParams(efficiency=1.0, dark_prob=0.0)
-    rng = np.random.default_rng(99)
-    n = 20_000
-    hits = sum(bsm.sample_outcome(np.array([1.0, 1.0]), params, rng).outcome
-               == bsm.OUTCOME_PSI_PLUS for _ in range(n))
-    expected = (1.0 - math.exp(-1.0)) ** 2
-    sigma = math.sqrt(expected * (1.0 - expected) / n)
-    assert abs(hits / n - expected) < 3.0 * sigma
-
-
 def test_dark_only_coincidences():
     params = bsm.DetectorParams(efficiency=0.1, dark_prob=1e-3)
     probs = bsm.class_probabilities(pol.STATE_H, 0.0, pol.STATE_H, 0.0,
@@ -117,6 +99,51 @@ def test_phase_average_matches_quadrature_oracle():
     oracle /= 2.0 * math.pi
     probs = bsm.class_probabilities(jones_a, mu_a, jones_b, mu_b, "Z", params)
     assert probs[0] == pytest.approx(oracle, rel=1e-10)
+
+
+def _phase_grid_oracle(states_a, mus_a, states_b, mus_b, basis, params,
+                       n_phase=64):
+    """Class probabilities averaged on an explicit n_phase-point grid."""
+    c0, c1 = bsm.phase_coefficients(states_a, mus_a, states_b, mus_b, basis)
+    phases = np.exp(2.0j * math.pi * np.arange(n_phase) / n_phase)
+    intensity = c0[..., None] + np.real(c1[..., None] * phases)
+    p_click = 1.0 - (1.0 - params.dark_prob) \
+        * np.exp(-params.efficiency * intensity)
+    first, second = p_click[..., 0, :], p_click[..., 1, :]
+    return np.stack([first * second, first * (1.0 - second),
+                     (1.0 - first) * second,
+                     (1.0 - first) * (1.0 - second)], axis=-2).mean(axis=-1)
+
+
+@pytest.mark.parametrize("table, params", [
+    (IntensityTable(), bsm.DetectorParams()),
+    (IntensityTable(mu=2.0), bsm.DetectorParams(efficiency=1.0)),
+    # Bright enough that eta |c1| exceeds 2, past the small-argument series.
+    (IntensityTable(mu=8.0), bsm.DetectorParams(efficiency=1.0)),
+])
+def test_closed_form_matches_phase_grid_oracle(table, params):
+    classes = DecisionClasses.build(table)
+    omega = INTENSITY_LABELS.index("omega")
+    # A sends H and B sends V, both at omega: a both-click cell of order
+    # 1e-10 to 1e-9, where cancellation would cost the most precision.
+    omega_pair = (omega, 3 + omega)
+    rng = np.random.default_rng(2013)
+    for _ in range(25):
+        channel_a, channel_b = (
+            pol.rotation_about_stokes_axis(rng.normal(size=3),
+                                           rng.uniform(0.0, math.pi))
+            for _ in range(2))
+        states_a = classes.states @ channel_a.T
+        states_b = classes.states @ channel_b.T
+        for basis in ("Z", "X"):
+            args = (states_a, classes.mean_photons, states_b,
+                    classes.mean_photons, basis, params)
+            exact = bsm.class_probability_grid(*args)
+            oracle = _phase_grid_oracle(*args)
+            assert np.all(np.abs(exact - oracle) <= 1e-9 * oracle)
+            psi_omega = exact[omega_pair][0]
+            assert psi_omega == pytest.approx(oracle[omega_pair][0],
+                                              rel=1e-9)
 
 
 def test_grid_probabilities_sum_to_one():

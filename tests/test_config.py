@@ -59,7 +59,6 @@ seed = 11
 mode = in-process
 sampling = per-slot
 compensation_enabled = no
-n_phase = 16
 reference_smoothing = 0.5
 bound_method = lp
 error_correction_efficiency = 1.2
@@ -99,7 +98,6 @@ initial_misalignment_b = 0.06
     assert config.seed == 11
     assert config.sampling == "per-slot"
     assert config.compensation_enabled is False
-    assert config.n_phase == 16
     assert config.reference_smoothing == 0.5
     assert config.bound_method == "lp"
     assert config.error_correction_efficiency == 1.2
@@ -123,6 +121,17 @@ def test_unknown_section_is_rejected_by_name():
 def test_unknown_key_is_rejected_by_name():
     with pytest.raises(ConfigError, match="unknown key 'alpha'"):
         parse_config_text("[session]\nalpha = 0.5\n")
+
+
+def test_removed_n_phase_key_names_file_and_section(tmp_path):
+    # The phase average is exact, so the old grid-size key is gone and a
+    # file that still sets it is rejected like any other unknown key.
+    path = tmp_path / "old.ini"
+    path.write_text("[session]\nseed = 3\nn_phase = 64\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        read_config_file(path)
+    assert str(excinfo.value).startswith(
+        f"{path}: unknown key 'n_phase' in [session]")
 
 
 @pytest.mark.parametrize("text, match", [

@@ -80,6 +80,38 @@ def test_sampling_conserves_slots_and_is_deterministic():
     assert np.array_equal(outcomes, outcomes2)
 
 
+def _per_combination_outcomes(combo, class_probs, rng):
+    """Reference draw: one multinomial per occupied combination, in order."""
+    outcomes = np.zeros(class_probs.shape, dtype=np.int64)
+    for i in range(combo.shape[0]):
+        for j in range(combo.shape[1]):
+            if combo[i, j]:
+                outcomes[i, j] = rng.multinomial(int(combo[i, j]),
+                                                 class_probs[i, j])
+    return outcomes
+
+
+@pytest.mark.parametrize("n_slots", [0, 3, 40, 2_000, 1_500_000])
+def test_broadcast_draw_matches_per_combination_stream(n_slots):
+    classes = DecisionClasses.build(TABLE)
+    channel = rotation_about_stokes_axis(np.array([0.2, -1.0, 0.5]), 0.4)
+    probs = window_class_probabilities(classes, classes, channel,
+                                       channel.conj().T, "X", PARAMS)
+    rng = np.random.default_rng(1000 + n_slots)
+    combo, outcomes = sample_window_counts(n_slots, classes, classes, probs,
+                                           rng)
+    reference_rng = np.random.default_rng(1000 + n_slots)
+    joint = np.outer(classes.probabilities, classes.probabilities).ravel()
+    reference_combo = reference_rng.multinomial(n_slots, joint).reshape(12, 12)
+    reference = _per_combination_outcomes(reference_combo, probs,
+                                          reference_rng)
+    assert np.array_equal(combo, reference_combo)
+    assert np.array_equal(outcomes, reference)
+    assert rng.random() == reference_rng.random()
+    if n_slots <= 40:
+        assert (combo == 0).sum() > 100
+
+
 def test_sampled_combo_frequencies_match_decision_probabilities():
     classes = DecisionClasses.build(TABLE)
     identity = np.eye(2, dtype=complex)

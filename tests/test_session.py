@@ -37,7 +37,7 @@ def small_config(**overrides) -> SessionConfig:
     (dict(sampling="hybrid"), "sampling"),
     (dict(mode="networked", sampling="per-slot"), "aggregate sampling only"),
     (dict(seed=1.5), "seed"),
-    (dict(n_phase=2), "n_phase"),
+    (dict(reference_smoothing=1.5), "reference_smoothing"),
     (dict(reference_smoothing=0.0), "reference_smoothing"),
     (dict(bound_method="magic"), "bound_method"),
     (dict(error_correction_efficiency=0.9), "error_correction_efficiency"),

@@ -10,8 +10,9 @@ reacts locally when its estimate crosses the trigger threshold.
 Two sampling backends share all bookkeeping: the default aggregate
 backend draws exact per-window multinomials (fast enough for hours of
 virtual time), while the per-slot backend materializes every slot and
-every announcement, which keeps the full protocol honest on short
-sessions and pins down the privacy semantics at slot granularity.
+every announcement, a fixed-size chunk of slots at a time, which keeps
+the full protocol honest and pins down the privacy semantics at slot
+granularity.
 """
 
 from __future__ import annotations
@@ -282,20 +283,22 @@ def recycle_singles(outcomes, reveals_a, reveals_b, bit_reveals_a,
 def sample_window_slots(config: SessionConfig, window_index: int,
                         n_slots: int, meas_basis: str,
                         channel_a: np.ndarray, channel_b: np.ndarray,
-                        rng: np.random.Generator):
-    """Materialize every slot of one window.
+                        rng: np.random.Generator, start: int = 0):
+    """Materialize slots [start, start + n_slots) of one window.
 
     Returns (announcements, reveals, bit_reveals, ground_truth) where
     announcements are the node's BsmResults for every clicked slot,
     reveals/bit_reveals follow the protocol rules, and ground_truth
     carries the per-slot decisions for bookkeeping that the protocol
-    itself never sees.
+    itself never sees.  Decisions and phases depend on the absolute slot
+    index alone and the clicks take n_slots consecutive (slot, arm)
+    pairs from rng, so consecutive calls that tile a window give the
+    same slots, counts and rng state as one call over the whole window.
     """
     classes_a = engine.DecisionClasses.build(config.table_a)
     classes_b = engine.DecisionClasses.build(config.table_b)
-    slots = np.arange(n_slots, dtype=np.uint64)
-    base_slot = window_index << 40
-    abs_slots = slots + np.uint64(base_slot)
+    abs_slots = np.arange(start, start + n_slots, dtype=np.uint64) \
+        + np.uint64(window_index << 40)
     bits_a, bases_a, ints_a = draw_decisions(config.seed * 2 + 0, abs_slots,
                                              config.table_a)
     bits_b, bases_b, ints_b = draw_decisions(config.seed * 2 + 1, abs_slots,
@@ -313,45 +316,46 @@ def sample_window_slots(config: SessionConfig, window_index: int,
     p_click = 1.0 - (1.0 - config.detector.dark_prob) \
         * np.exp(-config.detector.efficiency * intensity)
     clicks = rng.random(intensity.shape) < p_click
-    outcome_idx = np.where(
-        clicks[:, 0] & clicks[:, 1], 0,
-        np.where(clicks[:, 0], 1, np.where(clicks[:, 1], 2, 3)))
+    # OUTCOME_CLASSES order: both arms, first only, second only, none.
+    outcome_idx = 3 - 2 * clicks[:, 0] - clicks[:, 1]
+    outcome_counts = np.bincount((idx_a * 12 + idx_b) * 4 + outcome_idx,
+                                 minlength=12 * 12 * 4).reshape(12, 12, 4)
 
     announcements = []
     reveals = {user: {} for user in USERS}
     bit_reveals = {user: {} for user in USERS}
-    detected = np.nonzero(outcome_idx != 3)[0]
-    for k in detected:
-        slot = int(abs_slots[k])
-        outcome = OUTCOME_CLASSES[outcome_idx[k]]
+    detected = np.flatnonzero(outcome_idx != 3)
+    slots = abs_slots[detected].tolist()
+    det_bits_a = bits_a[detected].tolist()
+    det_bits_b = bits_b[detected].tolist()
+    det_ints_a = ints_a[detected].tolist()
+    det_ints_b = ints_b[detected].tolist()
+    sides = (("alice", bases_a[detected].tolist(), det_ints_a),
+             ("bob", bases_b[detected].tolist(), det_ints_b))
+    for k, (slot, code) in enumerate(zip(slots,
+                                         outcome_idx[detected].tolist())):
+        outcome = OUTCOME_CLASSES[code]
         announcements.append(BsmResult(slot=slot, basis=meas_basis,
                                        outcome=outcome))
-        for user, bases, bits, ints in (("alice", bases_a, bits_a, ints_a),
-                                        ("bob", bases_b, bits_b, ints_b)):
+        for user, bases, ints in sides:
             reveals[user][slot] = BasisIntensityReveal(
                 user=user, slot=slot, basis=BASIS_LABELS[bases[k]],
                 intensity=INTENSITY_LABELS[ints[k]])
         if outcome in (OUTCOME_SINGLE_FIRST, OUTCOME_SINGLE_SECOND):
-            if INTENSITY_LABELS[ints_b[k]] == "omega" \
-                    and INTENSITY_LABELS[ints_a[k]] != "omega":
+            if INTENSITY_LABELS[det_ints_b[k]] == "omega" \
+                    and INTENSITY_LABELS[det_ints_a[k]] != "omega":
                 bit_reveals["alice"][slot] = PolarizationBitReveal(
-                    user="alice", slot=slot, bit=int(bits_a[k]))
-            elif INTENSITY_LABELS[ints_a[k]] == "omega" \
-                    and INTENSITY_LABELS[ints_b[k]] != "omega":
+                    user="alice", slot=slot, bit=det_bits_a[k])
+            elif INTENSITY_LABELS[det_ints_a[k]] == "omega" \
+                    and INTENSITY_LABELS[det_ints_b[k]] != "omega":
                 bit_reveals["bob"][slot] = PolarizationBitReveal(
-                    user="bob", slot=slot, bit=int(bits_b[k]))
+                    user="bob", slot=slot, bit=det_bits_b[k])
     truth = {
-        "bits": {"alice": {int(abs_slots[k]): int(bits_a[k]) for k in detected},
-                 "bob": {int(abs_slots[k]): int(bits_b[k]) for k in detected}},
-        "combo_counts": None,
-        "outcome_counts": None,
+        "bits": {"alice": dict(zip(slots, det_bits_a)),
+                 "bob": dict(zip(slots, det_bits_b))},
+        "combo_counts": outcome_counts.sum(axis=2),
+        "outcome_counts": outcome_counts,
     }
-    combo = np.zeros((12, 12), dtype=np.int64)
-    np.add.at(combo, (idx_a, idx_b), 1)
-    outcomes_grid = np.zeros((12, 12, 4), dtype=np.int64)
-    np.add.at(outcomes_grid, (idx_a, idx_b, outcome_idx), 1)
-    truth["combo_counts"] = combo
-    truth["outcome_counts"] = outcomes_grid
     return announcements, reveals, bit_reveals, truth
 
 

@@ -80,7 +80,7 @@ class CoherentPulse:
 
 
 def _splitmix64(words: np.ndarray) -> np.ndarray:
-    z = (words + _GOLDEN).astype(np.uint64)
+    z = words + _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
@@ -117,7 +117,8 @@ def draw_decisions(seed: int, slots: np.ndarray, table: IntensityTable,
     bases = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.int64)
     uniforms = _uniform_from_words(words)
     edges = np.cumsum(table.probabilities)
-    intensity_idx = np.searchsorted(edges[:2], uniforms, side="right")
+    intensity_idx = (uniforms >= edges[0]).astype(np.int64) \
+        + (uniforms >= edges[1])
     return bits, bases, intensity_idx
 
 

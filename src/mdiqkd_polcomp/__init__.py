@@ -36,8 +36,8 @@ from .polarization import (SqueezerBank, misalignment_angles,
 from .reporting import (ReportingError, RunManifest, build_manifest,
                         emit_traces, read_manifest, recompute_summary,
                         summary_text, write_manifest)
-from .session import (SessionConfig, SessionError, SessionReport,
-                      analyze_tallies, run_session)
+from .session import (SessionConfig, SessionError, SessionFailure,
+                      SessionReport, analyze_tallies, run_session)
 from .transmitter import (IntensityTable, TransmitterError, key_fraction,
                           recyclable_fraction, reference_intensity_table)
 
@@ -60,8 +60,8 @@ __all__ = [
     "DecoyError", "GainGrid", "KeyRateReport", "TallySet", "YieldBounds",
     "bound_y11_e11", "key_rate", "load_reference_half",
     # session
-    "SessionConfig", "SessionError", "SessionReport", "analyze_tallies",
-    "run_session",
+    "SessionConfig", "SessionError", "SessionFailure", "SessionReport",
+    "analyze_tallies", "run_session",
     # configuration
     "ConfigError", "available_profiles", "config_as_dict", "config_to_ini",
     "load_profile", "parse_config_text", "read_config_file",

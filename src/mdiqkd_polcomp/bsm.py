@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .polarization import JONES_STATES
 
@@ -108,41 +107,6 @@ class BasisSchedule:
         return int(math.floor(duration / self.period + 1e-9))
 
 
-def output_intensities(jones_a: np.ndarray, mu_a: float,
-                       jones_b: np.ndarray, mu_b: float,
-                       basis: str, phase: float):
-    """Mean photon numbers in the four output modes of the splitter.
-
-    Returns (monitored, discarded), each an array over the two basis arms.
-    """
-    bras = ARM_PROJECTORS[basis]
-    amp_a = bras @ np.asarray(jones_a, dtype=complex) * math.sqrt(mu_a)
-    amp_b = bras @ np.asarray(jones_b, dtype=complex) * math.sqrt(mu_b)
-    rotated_b = amp_b * np.exp(1.0j * phase)
-    monitored = np.abs(amp_a + rotated_b) ** 2 / 2.0
-    discarded = np.abs(amp_a - rotated_b) ** 2 / 2.0
-    return monitored, discarded
-
-
-def mode_intensities(pulse_a, pulse_b, basis: str, phase: float) -> np.ndarray:
-    """Monitored-port mean photon numbers per arm for two prepared pulses."""
-    if basis not in ARM_PROJECTORS:
-        raise BsmError(f"unknown measurement basis {basis!r}")
-    monitored, _ = output_intensities(pulse_a.jones, pulse_a.mean_photons,
-                                      pulse_b.jones, pulse_b.mean_photons,
-                                      basis, phase)
-    return monitored
-
-
-def click_probabilities(intensities: np.ndarray,
-                        params: DetectorParams) -> np.ndarray:
-    """Per-arm click probability 1 - (1 - d) exp(-eta I)."""
-    intensities = np.asarray(intensities, dtype=float)
-    if np.any(intensities < 0):
-        raise BsmError("intensities must be nonnegative")
-    return 1.0 - (1.0 - params.dark_prob) * np.exp(-params.efficiency * intensities)
-
-
 def arm_amplitudes(states: np.ndarray, mus: np.ndarray,
                    basis: str) -> np.ndarray:
     """Arm amplitudes <m|psi> sqrt(mu) for a stack of input states.
@@ -188,6 +152,10 @@ def _log_i0(z: np.ndarray) -> np.ndarray:
     series = np.ones_like(q)
     for k in range(_I0_SERIES_TERMS, 1, -1):
         series = 1.0 + series * q / k ** 2
+    if (z < _I0_SERIES_LIMIT).all():
+        return np.log1p(q * series)
+    # Only bright inputs get here, so scipy is imported only for them.
+    from scipy.special import i0e
     return np.where(z < _I0_SERIES_LIMIT, np.log1p(q * series),
                     z + np.log(i0e(z)))
 

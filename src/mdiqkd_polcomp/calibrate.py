@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .bsm import DetectorParams, pair_gain_and_qber
 
 __all__ = [
@@ -77,6 +75,7 @@ def fit_efficiency(target_gain: float = DEFAULT_TARGET_GAIN,
             f"target gain {target_gain} outside the reachable range "
             f"({floor:.3e} at the dark-count floor, {ceiling:.3e} at "
             f"unit efficiency)")
+    from scipy.optimize import brentq
     efficiency = brentq(
         lambda eta: predicted_signal_gain(eta, dark_prob, signal_intensity)
         - target_gain,

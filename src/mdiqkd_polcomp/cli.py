@@ -18,7 +18,9 @@ for interface uniformity only.
 
 Exit codes: 0 success; 2 usage errors; 3 invalid or unreadable
 configuration (including bad parameter values); 4 output I/O failures;
-5 invalid or unreadable input data.
+5 invalid or unreadable input data; 6 a session that started failed
+while running (a dead user process, a malformed frame, a node exception
+or a privacy fault).
 """
 
 from __future__ import annotations
@@ -41,17 +43,19 @@ from .decoy import (DecoyError, TallySet, bound_y11_e11, key_rate,
                     load_reference_half, p11, read_gain_csv)
 from .reporting import (MANIFEST_NAME, ReportingError, build_manifest,
                         emit_traces, write_manifest)
-from .session import SessionError, analyze_tallies, run_session
+from .session import (SessionError, SessionFailure, analyze_tallies,
+                      run_session)
 from .transmitter import TransmitterError
 
 __all__ = ["main", "EXIT_OK", "EXIT_USAGE", "EXIT_CONFIG", "EXIT_OUTPUT",
-           "EXIT_INPUT"]
+           "EXIT_INPUT", "EXIT_SESSION"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_OUTPUT = 4
 EXIT_INPUT = 5
+EXIT_SESSION = 6
 
 _CONFIG_ERRORS = (ConfigError, SessionError, CompensationError, BsmError,
                   TransmitterError, CalibrationError)
@@ -502,6 +506,9 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except SystemExit as exc:  # parser.error inside a handler
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except SessionFailure as exc:  # before its base class, SessionError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SESSION
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,8 +26,8 @@ Two bounding backends are provided:
 - lp: linear program over yields {Y_nm} and error-weighted yields
   {Z_nm = e_nm Y_nm}, n, m <= n_cut, with each observed gain bracketing
   its truncated Poisson mixture within the statistical uncertainty plus
-  the truncation tail.  Infeasible tallies raise a diagnostic naming
-  the most violated constraint.
+  the truncation tail and LP_FEASIBILITY_TOLERANCE.  Infeasible tallies
+  raise a diagnostic naming the most violated constraint.
 
 The secure-rate formula combines a matched-basis signal gain with the
 conjugate-basis single-photon phase error:
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .transmitter import INTENSITY_LABELS, IntensityTable
 
@@ -54,6 +53,11 @@ TALLY_CSV_HEADER = ("basis", "intensity_A", "intensity_B",
 GAIN_CSV_HEADER = ("basis", "intensity_A", "intensity_B",
                    "gain", "gain_sigma", "qber", "qber_sigma")
 DEFAULT_N_CUT = 7
+# Every LP gain window is widened by this much on both sides.  This
+# simulator's own tallies miss the unwidened windows by 1e-11 to 1e-9
+# (a cell observed at zero has a window of width 1e-19), while the
+# published tables miss them by 3e-7 and stay infeasible.
+LP_FEASIBILITY_TOLERANCE = 1e-9
 DEFAULT_ERROR_CORRECTION_EFFICIENCY = 1.16
 
 
@@ -411,7 +415,7 @@ def _lp_system(grid: GainGrid, table: IntensityTable, n_cut: int,
                 coeff = np.zeros(2 * size)
                 offset = 0 if kind == "gain" else size
                 coeff[offset:offset + size] = weights
-                slack = shift_sigmas * sigma
+                slack = shift_sigmas * sigma + LP_FEASIBILITY_TOLERANCE
                 rows_a.append(coeff)
                 rows_b.append(observed + slack)
                 labels.append(f"{kind} window {pair} (upper side)")
@@ -431,6 +435,7 @@ def _lp_system(grid: GainGrid, table: IntensityTable, n_cut: int,
 
 def _lp_diagnose(a_ub: np.ndarray, b_ub: np.ndarray, labels) -> str:
     """Name the constraint needing the largest relaxation for feasibility."""
+    from scipy.optimize import linprog
     n_vars = a_ub.shape[1]
     n_rows = a_ub.shape[0]
     # Minimize total slack with one slack variable per inequality row.
@@ -447,6 +452,7 @@ def _lp_diagnose(a_ub: np.ndarray, b_ub: np.ndarray, labels) -> str:
 
 
 def _lp_extreme(a_ub, b_ub, labels, size, index, maximize):
+    from scipy.optimize import linprog
     cost = np.zeros(2 * size)
     cost[index] = -1.0 if maximize else 1.0
     result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * (2 * size),

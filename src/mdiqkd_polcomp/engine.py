@@ -96,10 +96,6 @@ class DecisionClasses:
     def __len__(self) -> int:
         return len(self.bases)
 
-    def state_label(self, index: int) -> str:
-        basis = BASIS_LABELS[self.bases[index]]
-        return BASIS_STATES[basis][self.bits[index]]
-
 
 def window_class_probabilities(classes_a: DecisionClasses,
                                classes_b: DecisionClasses,

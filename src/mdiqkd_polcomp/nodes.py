@@ -34,9 +34,10 @@ from .compensation import (ControllerState, EstimatorWindow,
                            control_step, estimate_theta)
 from .polarization import (DriftProcess, SqueezerBank, misalignment_angles,
                            random_misalignment, squeezer_unitary)
-from .session import (SessionConfig, SessionError, SessionReport, USERS,
-                      WindowTrace, analyze_tallies, recycle_singles,
-                      sample_window_slots, sift, summarize_sifted)
+from .session import (SessionConfig, SessionError, SessionFailure,
+                      SessionReport, USERS, WindowTrace, analyze_tallies,
+                      recycle_singles, sample_window_slots, sift,
+                      summarize_sifted)
 from .decoy import TallySet
 from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
                    SessionEnd, WindowSummary, WireError, encode_message)
@@ -84,7 +85,7 @@ class UserNode:
         """React to one message from the measurement node."""
         if isinstance(message, MisalignmentAnnouncement):
             if message.user != self.name:
-                raise SessionError(
+                raise SessionFailure(
                     f"{self.name} received an announcement addressed to "
                     f"{message.user!r}")
             if message.theta_z is not None:
@@ -111,7 +112,7 @@ class UserNode:
         if isinstance(message, SessionEnd):
             self.finished = True
             return []
-        raise SessionError(
+        raise SessionFailure(
             f"{self.name} cannot handle message type {type(message).__name__}")
 
 
@@ -162,14 +163,14 @@ class CharlieNode:
     def handle(self, message) -> list:
         """React to one message from a user; returns (dest, message) pairs."""
         if not isinstance(message, CompensatorState):
-            raise SessionError(
+            raise SessionFailure(
                 f"measurement node cannot handle {type(message).__name__}")
         if message.window != self._next_window:
-            raise SessionError(
+            raise SessionFailure(
                 f"{message.user} sent compensator state for window "
                 f"{message.window}, expected {self._next_window}")
         if message.user in self._pending_states:
-            raise SessionError(
+            raise SessionFailure(
                 f"duplicate compensator state from {message.user} for "
                 f"window {message.window}")
         self._pending_states[message.user] = message
@@ -233,7 +234,7 @@ class CharlieNode:
             combo_counts, outcome_counts)
         total = sum(counts.values())
         if total != n_slots:
-            raise SessionError(
+            raise SessionFailure(
                 f"window {index} accounting violation: conservation classes "
                 f"sum to {total}, expected {n_slots}")
 
@@ -303,7 +304,7 @@ class CharlieNode:
             for user in USERS:
                 revealed.update(bit_reveals[user])
             if revealed & set(kept):
-                raise SessionError(
+                raise SessionFailure(
                     f"window {index}: privacy violation - revealed bits "
                     "overlap the sifted key")
         singles = {}
@@ -315,14 +316,14 @@ class CharlieNode:
             seen = {label: counts for label, counts in singles[user].items()
                     if counts[1]}
             if seen != slot_singles[user]:
-                raise SessionError(
+                raise SessionFailure(
                     f"window {index}: slot-level recycling disagrees with "
                     f"aggregate counts for {user}")
         key_candidates = engine.conservation_counts(
             self.classes["alice"], self.classes["bob"], meas_basis,
             combo_counts, outcome_counts)["key_candidate"]
         if n_sifted != key_candidates:
-            raise SessionError(
+            raise SessionFailure(
                 f"window {index}: sifted slot count {n_sifted} "
                 f"disagrees with accounting ({key_candidates})")
         return combo_counts, outcome_counts, singles
@@ -395,9 +396,11 @@ def run_in_process(config: SessionConfig) -> SessionReport:
         if charlie.finished and all(users[name].finished for name in USERS):
             break
         if not progress:
-            raise SessionError("session deadlocked: no node can make progress")
+            raise SessionFailure(
+                "session deadlocked: no node can make progress")
     else:
-        raise SessionError("session did not terminate within the message budget")
+        raise SessionFailure(
+            "session did not terminate within the message budget")
     assert charlie.report is not None
     return charlie.report
 
@@ -433,7 +436,7 @@ def _serve_user(name: str, config: SessionConfig, port: int) -> None:
         while not node.finished:
             data = conn.recv(65536)
             if not data:
-                raise SessionError(f"{name}: connection closed mid-session")
+                raise SessionFailure(f"{name}: connection closed mid-session")
             replies = [encode_message(reply)
                        for message in decoder.feed(data)
                        for reply in node.handle(message)]
@@ -453,7 +456,7 @@ class _UserProcess:
         self.proc.start()
         child_end.close()
 
-    def failure(self) -> SessionError:
+    def failure(self) -> SessionFailure:
         """The error for this user dropping out of the session."""
         # Read before joining: a report larger than the pipe buffer keeps
         # the child alive until it is read.  The pipe turns readable with
@@ -466,10 +469,10 @@ class _UserProcess:
                 pass
         self.proc.join(SOCKET_TIMEOUT_S)
         if self.proc.exitcode is None:
-            return SessionError(f"user {self.name} closed its connection "
-                                "but its process is still running")
-        return SessionError(f"user {self.name} process exited with code "
-                            f"{self.proc.exitcode}: {detail.rstrip()}")
+            return SessionFailure(f"user {self.name} closed its connection "
+                                  "but its process is still running")
+        return SessionFailure(f"user {self.name} process exited with code "
+                              f"{self.proc.exitcode}: {detail.rstrip()}")
 
     def stop(self, failed: bool) -> None:
         # After a failure a child may still sit unaccepted in the listen
@@ -496,7 +499,7 @@ def _await_readable(handles: list, users: dict, silence: str) -> None:
         if handle in by_sentinel:
             raise by_sentinel[handle].failure()
     if not ready:
-        raise SessionError(f"{silence} within {SOCKET_TIMEOUT_S:g} s")
+        raise SessionFailure(f"{silence} within {SOCKET_TIMEOUT_S:g} s")
 
 
 class _UserConnection:
@@ -528,7 +531,7 @@ class _UserConnection:
             try:
                 self.inbox.extend(self.decoder.feed(data))
             except WireError as exc:
-                raise SessionError(
+                raise SessionFailure(
                     f"{self._who()} sent a malformed frame: {exc}") from exc
         return self.inbox.pop(0)
 
@@ -538,7 +541,7 @@ class _UserConnection:
         except OSError as exc:
             raise self._dropped() from exc
 
-    def _dropped(self) -> SessionError:
+    def _dropped(self) -> SessionFailure:
         """The error for a connection its user closed or broke."""
         if self.name is None:
             # Only the opening message names the user; the process that
@@ -572,10 +575,10 @@ def run_networked(config: SessionConfig) -> SessionReport:
             accepted.append(link)
             first = link.read_message()
             if not isinstance(first, CompensatorState):
-                raise SessionError("user connection must open with its "
-                                   "compensator state")
+                raise SessionFailure("user connection must open with its "
+                                     "compensator state")
             if first.user not in users or first.user in links:
-                raise SessionError("both users must connect exactly once")
+                raise SessionFailure("both users must connect exactly once")
             link.name = first.user
             links[first.user] = link
             openings[first.user] = first

@@ -24,7 +24,7 @@ import numpy as np
 from . import engine
 from .bsm import (OUTCOME_CLASSES, OUTCOME_PSI_PLUS, OUTCOME_SINGLE_FIRST,
                   OUTCOME_SINGLE_SECOND, BasisSchedule, DetectorParams,
-                  arm_amplitudes)
+                  phase_coefficients)
 from .compensation import ControllerConfig
 from .decoy import (DEFAULT_ERROR_CORRECTION_EFFICIENCY, bound_y11_e11,
                     key_rate, p11)
@@ -40,6 +40,11 @@ USERS = ("alice", "bob")
 
 class SessionError(ValueError):
     """Raised for invalid session configuration or protocol faults."""
+
+
+class SessionFailure(SessionError):
+    """Raised when a session fails after start-up: a user process that
+    ended, a malformed frame, a node or accounting fault, a privacy fault."""
 
 
 @dataclass(frozen=True)
@@ -252,12 +257,12 @@ def recycle_singles(outcomes, reveals_a, reveals_b, bit_reveals_a,
             result = outcome_by_slot.get(slot)
             if result is None or result.outcome not in (OUTCOME_SINGLE_FIRST,
                                                         OUTCOME_SINGLE_SECOND):
-                raise SessionError(
+                raise SessionFailure(
                     f"privacy fault: {user} revealed a bit for slot {slot} "
                     "whose outcome was not a failed (single-click) projection")
             partner = partner_reveals.get(slot)
             if partner is None or partner.intensity != "omega":
-                raise SessionError(
+                raise SessionFailure(
                     f"privacy fault: {user} revealed a bit for slot {slot} "
                     "although the counterpart did not send the near-vacuum "
                     "intensity")
@@ -307,18 +312,25 @@ def sample_window_slots(config: SessionConfig, window_index: int,
         - draw_phases(config.seed * 2 + 1, abs_slots)
     idx_a = bases_a * 6 + bits_a * 3 + ints_a
     idx_b = bases_b * 6 + bits_b * 3 + ints_b
+    pair = idx_a * 12 + idx_b
     rotated_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
     rotated_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
-    amp_a = arm_amplitudes(rotated_a, classes_a.mean_photons, meas_basis)
-    amp_b = arm_amplitudes(rotated_b, classes_b.mean_photons, meas_basis)
-    intensity = np.abs(amp_a[idx_a] + amp_b[idx_b]
-                       * np.exp(1.0j * phases)[:, None]) ** 2 / 2.0
+    c0, c1 = phase_coefficients(rotated_a, classes_a.mean_photons,
+                                rotated_b, classes_b.mean_photons, meas_basis)
+    # Per arm, the integrand that the window kernel averages in closed
+    # form: I = c0 + Re(c1 e^{i phi}) of the slot's input pair.
+    cos_phi, sin_phi = np.cos(phases), np.sin(phases)
+    intensity = np.empty((n_slots, 2))
+    for arm in (0, 1):
+        intensity[:, arm] = c0[..., arm].take(pair) \
+            + c1.real[..., arm].take(pair) * cos_phi \
+            - c1.imag[..., arm].take(pair) * sin_phi
     p_click = 1.0 - (1.0 - config.detector.dark_prob) \
         * np.exp(-config.detector.efficiency * intensity)
-    clicks = rng.random(intensity.shape) < p_click
+    clicks = rng.random((n_slots, 2)) < p_click
     # OUTCOME_CLASSES order: both arms, first only, second only, none.
     outcome_idx = 3 - 2 * clicks[:, 0] - clicks[:, 1]
-    outcome_counts = np.bincount((idx_a * 12 + idx_b) * 4 + outcome_idx,
+    outcome_counts = np.bincount(pair * 4 + outcome_idx,
                                  minlength=12 * 12 * 4).reshape(12, 12, 4)
 
     announcements = []

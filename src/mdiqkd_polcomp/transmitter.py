@@ -70,15 +70,6 @@ class IntensityTable:
         return (self.mu, self.nu, self.omega)
 
 
-@dataclass(frozen=True)
-class CoherentPulse:
-    """Weak coherent pulse: Jones state, mean photon number, optical phase."""
-
-    jones: np.ndarray
-    mean_photons: float
-    phase: float
-
-
 def _splitmix64(words: np.ndarray) -> np.ndarray:
     z = words + _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1

@@ -421,3 +421,38 @@ def test_installed_console_script_is_on_path():
                           text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.strip() == f"{SCRIPT_NAME} {dist.version}"
+
+
+COLD_START = """
+import sys
+import mdiqkd_polcomp.cli as cli
+from mdiqkd_polcomp.config import load_profile
+load_profile("reference-defaults")
+out, ini = sys.argv[1], sys.argv[2]
+runs = (["--duration", "60", "--out", out + "/aggregate"],
+        ["--duration", "60", "--mode", "networked", "--out", out + "/net"],
+        ["--config", ini, "--sampling", "per-slot", "--out", out + "/slots"])
+for args in runs:
+    code = cli.main(["simulate", "--seed", "4", *args])
+    if code:
+        sys.exit(f"simulate {args} exited {code}")
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_simulate_never_imports_scipy(tmp_path):
+    # scipy is imported only by the LP, the calibration fit and the
+    # large-argument Bessel branch; a reference simulate needs none, in
+    # process, networked or per slot.
+    ini = tmp_path / "per_slot.ini"
+    ini.write_text("[session]\nduration_s = 60\nrep_rate_hz = 10000\n",
+                   encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path), str(ini)],
+        capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -1,10 +1,12 @@
 """Decoy-state tallies, single-photon bounds, and key-rate evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mdiqkd_polcomp.config import load_profile
 from mdiqkd_polcomp.decoy import (
     DecoyError,
     GainGrid,
@@ -22,6 +24,7 @@ from mdiqkd_polcomp.decoy import (
     poisson_pmf,
     read_gain_csv,
 )
+from mdiqkd_polcomp.session import run_session
 from mdiqkd_polcomp.transmitter import IntensityTable
 
 TABLE = IntensityTable()
@@ -329,6 +332,20 @@ def test_lp_infeasible_tallies_name_violated_constraint():
                     eq_sigma=sigma.copy())
     with pytest.raises(DecoyError, match="most violated"):
         lp_bounds(grid, TABLE)
+
+
+def test_lp_accepts_a_reference_sessions_own_tallies():
+    # The 4 h seed-3 tallies miss the bare windows by 3.5e-10 to 7.3e-10,
+    # inside LP_FEASIBILITY_TOLERANCE, in every half and basis.
+    config = replace(load_profile("reference-defaults"), duration_s=14400.0,
+                     seed=3)
+    report = run_session(config)
+    for half in ("Z", "X"):
+        for basis in ("Z", "X"):
+            grid = report.tallies[half].gain_grid(basis)
+            y11, z11 = lp_bounds(grid, config.table_a)
+            assert 2.5e-4 < y11 < 4e-4
+            assert 0.0 <= z11 <= y11
 
 
 def test_lp_rejects_bad_cut():

@@ -41,8 +41,6 @@ def test_decision_classes_layout_and_probabilities():
                 assert classes.mean_photons[k] == TABLE.intensities[int_i]
                 total += classes.probabilities[k]
     assert total == pytest.approx(1.0)
-    assert classes.state_label(idx("Z", 0, "mu")) == "H"
-    assert classes.state_label(idx("X", 1, "omega")) == "A"
 
 
 def test_window_probabilities_match_direct_cell_evaluation():

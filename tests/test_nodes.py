@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from mdiqkd_polcomp import nodes
-from mdiqkd_polcomp.cli import EXIT_CONFIG, main
+from mdiqkd_polcomp.cli import EXIT_SESSION, main
 from mdiqkd_polcomp.session import SessionConfig, SessionError, run_session
 from mdiqkd_polcomp.wire import (CompensatorState, MisalignmentAnnouncement,
                                  encode_message)
@@ -115,10 +115,23 @@ def test_cli_reports_a_dead_user_as_an_exit_code(monkeypatch, tmp_path,
     ini.write_text("[session]\nduration_s = 60\nrep_rate_hz = 100000\n",
                    encoding="utf-8")
     assert main(["simulate", "--config", str(ini), "--mode", "networked",
-                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+                 "--out", str(tmp_path / "run")]) == EXIT_SESSION
     err = capsys.readouterr().err
     assert "process exited with code 1" in err
     assert "RuntimeError: injected:" in err
+
+
+def test_cli_reports_an_in_process_accounting_fault_as_an_exit_code(
+        monkeypatch, tmp_path, capsys):
+    # The slot-level recycling count can never match the aggregate one.
+    monkeypatch.setattr(nodes, "recycle_singles", lambda *args: {
+        "alice": {"H": (0, 10 ** 12)}, "bob": {}})
+    ini = tmp_path / "per_slot.ini"
+    ini.write_text("[session]\nduration_s = 15\nrep_rate_hz = 10000\n",
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(ini), "--sampling", "per-slot",
+                 "--out", str(tmp_path / "run")]) == EXIT_SESSION
+    assert "slot-level recycling disagrees" in capsys.readouterr().err
 
 
 def test_both_ends_of_a_live_session_disable_nagle(monkeypatch, tmp_path):

@@ -285,6 +285,13 @@ def recycle_singles(outcomes, reveals_a, reveals_b, bit_reveals_a,
 # Per-slot sampling backend
 # ---------------------------------------------------------------------------
 
+def _class_index(seed: int, slots: np.ndarray,
+                 table: IntensityTable) -> np.ndarray:
+    """Per-slot DecisionClasses index, 6*basis + 3*bit + intensity."""
+    bits, bases, ints = draw_decisions(seed, slots, table)
+    return bases * 6 + bits * 3 + ints
+
+
 def sample_window_slots(config: SessionConfig, window_index: int,
                         n_slots: int, meas_basis: str,
                         channel_a: np.ndarray, channel_b: np.ndarray,
@@ -304,32 +311,37 @@ def sample_window_slots(config: SessionConfig, window_index: int,
     classes_b = engine.DecisionClasses.build(config.table_b)
     abs_slots = np.arange(start, start + n_slots, dtype=np.uint64) \
         + np.uint64(window_index << 40)
-    bits_a, bases_a, ints_a = draw_decisions(config.seed * 2 + 0, abs_slots,
-                                             config.table_a)
-    bits_b, bases_b, ints_b = draw_decisions(config.seed * 2 + 1, abs_slots,
-                                             config.table_b)
-    phases = draw_phases(config.seed * 2 + 0, abs_slots) \
-        - draw_phases(config.seed * 2 + 1, abs_slots)
-    idx_a = bases_a * 6 + bits_a * 3 + ints_a
-    idx_b = bases_b * 6 + bits_b * 3 + ints_b
-    pair = idx_a * 12 + idx_b
+    # One index per slot, not six decision arrays: the clicked slots'
+    # bits, bases and intensities are read back from the class tables.
+    pair = _class_index(config.seed * 2 + 0, abs_slots, config.table_a) * 12 \
+        + _class_index(config.seed * 2 + 1, abs_slots, config.table_b)
     rotated_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
     rotated_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
     c0, c1 = phase_coefficients(rotated_a, classes_a.mean_photons,
                                 rotated_b, classes_b.mean_photons, meas_basis)
+    c0, re_c1, im_c1 = (x.reshape(144, 2) for x in (c0, c1.real, c1.imag))
+    eta, keep = config.detector.efficiency, 1.0 - config.detector.dark_prob
+    # Exact thinning: |a cos phi| <= |a| survives rounding, so no phase
+    # lifts an arm's click probability above p_max (widened against
+    # rounding in exp); a slot whose two uniforms clear their arms' p_max
+    # cannot click and needs no phase.
+    brightest = c0 + np.abs(re_c1) + np.abs(im_c1)
+    p_max = (1.0 - keep * np.exp(-eta * brightest)) * (1.0 + 1e-9)
+    uniforms = rng.random((n_slots, 2))
+    candidate = uniforms[:, 0] < p_max[:, 0].take(pair)
+    candidate |= uniforms[:, 1] < p_max[:, 1].take(pair)
+    candidate = np.flatnonzero(candidate)
+    cand_slots, cand_pair = abs_slots[candidate], pair[candidate]
+    phases = draw_phases(config.seed * 2 + 0, cand_slots) \
+        - draw_phases(config.seed * 2 + 1, cand_slots)
     # Per arm, the integrand that the window kernel averages in closed
     # form: I = c0 + Re(c1 e^{i phi}) of the slot's input pair.
-    cos_phi, sin_phi = np.cos(phases), np.sin(phases)
-    intensity = np.empty((n_slots, 2))
-    for arm in (0, 1):
-        intensity[:, arm] = c0[..., arm].take(pair) \
-            + c1.real[..., arm].take(pair) * cos_phi \
-            - c1.imag[..., arm].take(pair) * sin_phi
-    p_click = 1.0 - (1.0 - config.detector.dark_prob) \
-        * np.exp(-config.detector.efficiency * intensity)
-    clicks = rng.random((n_slots, 2)) < p_click
+    intensity = c0[cand_pair] + re_c1[cand_pair] * np.cos(phases)[:, None] \
+        - im_c1[cand_pair] * np.sin(phases)[:, None]
+    clicks = uniforms[candidate] < 1.0 - keep * np.exp(-eta * intensity)
     # OUTCOME_CLASSES order: both arms, first only, second only, none.
-    outcome_idx = 3 - 2 * clicks[:, 0] - clicks[:, 1]
+    outcome_idx = np.full(n_slots, 3)
+    outcome_idx[candidate] = 3 - 2 * clicks[:, 0] - clicks[:, 1]
     outcome_counts = np.bincount(pair * 4 + outcome_idx,
                                  minlength=12 * 12 * 4).reshape(12, 12, 4)
 
@@ -338,12 +350,13 @@ def sample_window_slots(config: SessionConfig, window_index: int,
     bit_reveals = {user: {} for user in USERS}
     detected = np.flatnonzero(outcome_idx != 3)
     slots = abs_slots[detected].tolist()
-    det_bits_a = bits_a[detected].tolist()
-    det_bits_b = bits_b[detected].tolist()
-    det_ints_a = ints_a[detected].tolist()
-    det_ints_b = ints_b[detected].tolist()
-    sides = (("alice", bases_a[detected].tolist(), det_ints_a),
-             ("bob", bases_b[detected].tolist(), det_ints_b))
+    det_a, det_b = np.divmod(pair[detected], 12)
+    det_bits_a = classes_a.bits[det_a].tolist()
+    det_bits_b = classes_b.bits[det_b].tolist()
+    det_ints_a = classes_a.intensities[det_a].tolist()
+    det_ints_b = classes_b.intensities[det_b].tolist()
+    sides = (("alice", classes_a.bases[det_a].tolist(), det_ints_a),
+             ("bob", classes_b.bases[det_b].tolist(), det_ints_b))
     for k, (slot, code) in enumerate(zip(slots,
                                          outcome_idx[detected].tolist())):
         outcome = OUTCOME_CLASSES[code]

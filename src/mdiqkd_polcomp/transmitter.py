@@ -4,9 +4,7 @@ Each slot carries an independent (bit, basis, intensity) decision plus a
 fresh uniform optical phase.  Decisions are a pure function of
 (seed, slot, stream), implemented with the splitmix64 mixing function so
 that any slot can be regenerated in isolation and bulk generation
-vectorizes.  An optional repeating-pattern mode replays a fixed-length
-decision sequence, mimicking a transmitter fed from a short stored
-random pattern instead of a live source.
+vectorizes.
 """
 
 from __future__ import annotations
@@ -91,19 +89,14 @@ def _uniform_from_words(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def draw_decisions(seed: int, slots: np.ndarray, table: IntensityTable,
-                   pattern_length: int | None = None):
+def draw_decisions(seed: int, slots: np.ndarray, table: IntensityTable):
     """Vectorized decisions for an array of slot indices.
 
     Returns (bits, basis_indices, intensity_indices) as integer arrays;
     basis index 0 is Z, intensity indices follow INTENSITY_LABELS.
     """
-    slots = np.asarray(slots, dtype=np.uint64)
-    if pattern_length is not None:
-        if pattern_length <= 0:
-            raise TransmitterError("pattern_length must be positive")
-        slots = slots % np.uint64(pattern_length)
-    words = _slot_words(seed, slots, _DECISION_STREAM)
+    words = _slot_words(seed, np.asarray(slots, dtype=np.uint64),
+                        _DECISION_STREAM)
     bits = (words & np.uint64(1)).astype(np.int64)
     bases = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.int64)
     uniforms = _uniform_from_words(words)

@@ -6,17 +6,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, unitary_group
 
 from mdiqkd_polcomp import engine, nodes
-from mdiqkd_polcomp.bsm import BasisSchedule, DetectorParams
+from mdiqkd_polcomp.bsm import (OUTCOME_CLASSES, BasisSchedule,
+                                DetectorParams, phase_coefficients)
 from mdiqkd_polcomp.compensation import ControllerConfig
 from mdiqkd_polcomp.nodes import CharlieNode, UserNode, run_in_process
 from mdiqkd_polcomp.polarization import rotation_about_stokes_axis
 from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
                                     recycle_singles, run_session,
                                     sample_window_slots, sift)
-from mdiqkd_polcomp.transmitter import IntensityTable
+from mdiqkd_polcomp.transmitter import (BASIS_LABELS, INTENSITY_LABELS,
+                                        IntensityTable, draw_decisions,
+                                        draw_phases)
 from mdiqkd_polcomp.wire import (BasisIntensityReveal, BsmResult,
                                  CompensatorState, MisalignmentAnnouncement,
                                  PolarizationBitReveal, SessionEnd)
@@ -400,6 +403,122 @@ def test_sample_window_slots_calls_tile_a_window():
     for key in ("combo_counts", "outcome_counts"):
         assert np.array_equal(whole[3][key], head[3][key] + tail[3][key])
     assert whole_rng.random() == parts_rng.random()
+
+
+def _arm_coefficients(config, meas_basis, channel_a, channel_b):
+    """(c0, Re c1, Im c1) per (pair, arm), pair = idx_a * 12 + idx_b."""
+    classes_a = engine.DecisionClasses.build(config.table_a)
+    classes_b = engine.DecisionClasses.build(config.table_b)
+    c0, c1 = phase_coefficients(classes_a.states @ channel_a.T,
+                                classes_a.mean_photons,
+                                classes_b.states @ channel_b.T,
+                                classes_b.mean_photons, meas_basis)
+    return [x.reshape(144, 2) for x in (c0, c1.real, c1.imag)]
+
+
+def _click_probability(detector, c0, re_c1, im_c1, phases):
+    intensity = c0 + re_c1 * np.cos(phases)[:, None] \
+        - im_c1 * np.sin(phases)[:, None]
+    return 1.0 - (1.0 - detector.dark_prob) \
+        * np.exp(-detector.efficiency * intensity)
+
+
+def _dense_window_slots(config, window_index, n_slots, meas_basis,
+                        channel_a, channel_b, rng):
+    """Reference sampler: a phase and click probability for every slot.
+
+    Returns what sample_window_slots should: the announcements, the
+    basis/intensity and bit reveals, and the outcome counts.
+    """
+    slots = np.arange(n_slots, dtype=np.uint64) + np.uint64(window_index << 40)
+    (bits_a, bases_a, ints_a), (bits_b, bases_b, ints_b) = (
+        draw_decisions(config.seed * 2 + k, slots, table)
+        for k, table in enumerate((config.table_a, config.table_b)))
+    pair = (bases_a * 6 + bits_a * 3 + ints_a) * 12 \
+        + bases_b * 6 + bits_b * 3 + ints_b
+    phases = draw_phases(config.seed * 2, slots) \
+        - draw_phases(config.seed * 2 + 1, slots)
+    c0, re_c1, im_c1 = _arm_coefficients(config, meas_basis, channel_a,
+                                         channel_b)
+    p_click = _click_probability(config.detector, c0[pair], re_c1[pair],
+                                 im_c1[pair], phases)
+    clicks = rng.random((n_slots, 2)) < p_click
+    outcomes = 3 - 2 * clicks[:, 0] - clicks[:, 1]
+    counts = np.bincount(pair * 4 + outcomes,
+                         minlength=576).reshape(12, 12, 4)
+    announcements, reveals = [], {user: {} for user in USERS}
+    bit_reveals = {user: {} for user in USERS}
+    sides = (("alice", bits_a, bases_a, ints_a, ints_b),
+             ("bob", bits_b, bases_b, ints_b, ints_a))
+    for k in np.flatnonzero(outcomes != 3).tolist():
+        slot = int(slots[k])
+        announcements.append(BsmResult(slot=slot, basis=meas_basis,
+                                       outcome=OUTCOME_CLASSES[outcomes[k]]))
+        for user, bits, bases, ints, partner_ints in sides:
+            reveals[user][slot] = BasisIntensityReveal(
+                user=user, slot=slot, basis=BASIS_LABELS[bases[k]],
+                intensity=INTENSITY_LABELS[ints[k]])
+            if outcomes[k] in (1, 2) and partner_ints[k] == 2 \
+                    and ints[k] != 2:
+                bit_reveals[user][slot] = PolarizationBitReveal(
+                    user=user, slot=slot, bit=int(bits[k]))
+    return announcements, reveals, bit_reveals, counts
+
+
+THINNING_CASES = {
+    "reference": SessionConfig(seed=21),
+    "no dark counts": SessionConfig(seed=22, detector=DetectorParams(
+        dark_prob=0.0)),
+    "unit efficiency": SessionConfig(seed=23, detector=DetectorParams(
+        efficiency=1.0)),
+    "no near-vacuum decoy": SessionConfig(
+        seed=24, table_a=IntensityTable(p_mu=0.6, p_nu=0.4, p_omega=0.0),
+        table_b=IntensityTable(p_mu=0.6, p_nu=0.4, p_omega=0.0)),
+}
+
+
+@pytest.mark.parametrize("meas_basis", ["Z", "X"])
+@pytest.mark.parametrize("case", sorted(THINNING_CASES))
+def test_thinned_sampler_matches_the_dense_reference(case, meas_basis):
+    config = THINNING_CASES[case]
+    channels = np.random.default_rng(config.seed)
+    for index in range(3):
+        channel_a = unitary_group.rvs(2, random_state=channels)
+        channel_b = unitary_group.rvs(2, random_state=channels)
+        dense_rng = np.random.default_rng(index)
+        thinned_rng = np.random.default_rng(index)
+        announcements, reveals, bit_reveals, counts = _dense_window_slots(
+            config, index, 1 << 16, meas_basis, channel_a, channel_b,
+            dense_rng)
+        thinned = sample_window_slots(config, index, 1 << 16, meas_basis,
+                                      channel_a, channel_b, thinned_rng)
+        assert announcements and thinned[0] == announcements
+        assert thinned[1] == reveals
+        assert thinned[2] == bit_reveals
+        assert np.array_equal(thinned[3]["outcome_counts"], counts)
+        assert thinned_rng.random() == dense_rng.random()
+
+
+@pytest.mark.parametrize("meas_basis", ["Z", "X"])
+def test_no_phase_clicks_above_the_thinning_bound(meas_basis):
+    # sample_window_slots draws phases only for slots whose uniform falls
+    # below this bound in some arm; no phase may exceed it.
+    phases = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 4001),
+                             np.arange(4) * (np.pi / 2.0)])
+    channels = np.random.default_rng(99)
+    for case in sorted(THINNING_CASES) * 3:
+        config = THINNING_CASES[case]
+        detector = config.detector
+        channel_a = unitary_group.rvs(2, random_state=channels)
+        channel_b = unitary_group.rvs(2, random_state=channels)
+        c0, re_c1, im_c1 = _arm_coefficients(config, meas_basis, channel_a,
+                                             channel_b)
+        p_max = 1.0 - (1.0 - detector.dark_prob) * np.exp(
+            -detector.efficiency * (c0 + np.abs(re_c1) + np.abs(im_c1)))
+        for pair in range(144):
+            p_click = _click_probability(detector, c0[pair], re_c1[pair],
+                                         im_c1[pair], phases)
+            assert (p_click <= p_max[pair]).all(), (case, pair)
 
 
 @pytest.mark.parametrize("chunk", [4099, 1 << 16])

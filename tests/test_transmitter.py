@@ -124,17 +124,3 @@ def test_phases_are_uniform():
     counts, _ = np.histogram(phases, bins=20, range=(0.0, 2.0 * math.pi))
     _, p_value = stats.chisquare(counts)
     assert p_value > 0.01
-
-
-def test_repeating_pattern_mode():
-    table = tx.reference_intensity_table()
-    slots = np.arange(5000)
-    bits, bases, intensity = tx.draw_decisions(5, slots, table, pattern_length=1000)
-    assert np.array_equal(bits[:1000], bits[1000:2000])
-    assert np.array_equal(bases[:1000], bases[1000:2000])
-    assert np.array_equal(intensity[:1000], intensity[1000:2000])
-    live_bits, _, _ = tx.draw_decisions(5, slots, table)
-    assert not np.array_equal(bits, live_bits)
-    with pytest.raises(tx.TransmitterError):
-        tx.draw_decisions(5, slots, table, pattern_length=0)
-

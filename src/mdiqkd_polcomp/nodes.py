@@ -37,7 +37,7 @@ from .polarization import (DriftProcess, SqueezerBank, misalignment_angles,
 from .session import (SessionConfig, SessionError, SessionFailure,
                       SessionReport, USERS, WindowTrace, analyze_tallies,
                       recycle_singles, sample_window_slots, sift,
-                      summarize_sifted)
+                      summarize_sifted, user_reveals)
 from .decoy import TallySet
 from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
                    SessionEnd, WindowSummary, WireError, encode_message)
@@ -45,8 +45,8 @@ from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
 SOCKET_TIMEOUT_S = 60.0
 
 # Slots the per-slot backend samples per call.  Its memory grows with
-# this, not with the window.  On 1.2e7 slots 2^16 ran 20 % slower than
-# 2^18, and 2^20 ran 8 % faster at 2.3 times its 137 MB peak RSS.
+# this, not with the window.  On 1.2e7 slots 2^16 and 2^18 both took
+# 0.70 s at 44 and 52 MB peak RSS, and 2^20 took 0.85 s at 87 MB.
 SLOT_CHUNK = 1 << 18
 
 # Seed-stream tags keep the independent random streams decoupled while
@@ -270,25 +270,24 @@ class CharlieNode:
 
     def _sample_slots(self, index: int, n_slots: int, meas_basis: str,
                       channels: dict):
-        """Per-slot backend: full protocol materialization plus cross-checks.
+        """Per-slot backend: the protocol on slot columns plus cross-checks.
 
         The window is sampled in chunks of SLOT_CHUNK slots.  Each chunk's
         reveals pass the privacy check on their own, since chunks hold
         disjoint slots; the slot-level recycling and sifting sums are
         checked against the aggregate accounting once per window.
         """
-        combo_counts = np.zeros((12, 12), dtype=np.int64)
         outcome_counts = np.zeros((12, 12, 4), dtype=np.int64)
         slot_singles = {user: {} for user in USERS}
         n_sifted = 0
         for start in range(0, n_slots, SLOT_CHUNK):
-            announcements, reveals, bit_reveals, truth = sample_window_slots(
+            slots, outcomes, pairs, counts = sample_window_slots(
                 self.config, index, min(SLOT_CHUNK, n_slots - start),
                 meas_basis, channels["alice"], channels["bob"], self.rng,
                 start)
-            combo_counts += truth["combo_counts"]
-            outcome_counts += truth["outcome_counts"]
-            singles = recycle_singles(announcements, reveals["alice"],
+            outcome_counts += counts
+            reveals, bit_reveals, bits = user_reveals(slots, outcomes, pairs)
+            singles = recycle_singles(slots, outcomes, reveals["alice"],
                                       reveals["bob"], bit_reveals["alice"],
                                       bit_reveals["bob"], meas_basis)
             for user in USERS:
@@ -296,17 +295,16 @@ class CharlieNode:
                 for label, (n_wrong, n_total) in singles[user].items():
                     wrong, total = sums.get(label, (0, 0))
                     sums[label] = (wrong + n_wrong, total + n_total)
-            kept, summary = sift(announcements, reveals["alice"],
-                                 reveals["bob"], meas_basis,
-                                 truth["bits"]["alice"], truth["bits"]["bob"])
+            kept, summary = sift(slots, outcomes, reveals["alice"],
+                                 reveals["bob"], meas_basis, bits["alice"],
+                                 bits["bob"])
             n_sifted += summary["n_sifted"]
-            revealed = set()
-            for user in USERS:
-                revealed.update(bit_reveals[user])
-            if revealed & set(kept):
+            revealed = np.concatenate([bit_reveals[user][0] for user in USERS])
+            if np.intersect1d(revealed, kept).size:
                 raise SessionFailure(
                     f"window {index}: privacy violation - revealed bits "
                     "overlap the sifted key")
+        combo_counts = outcome_counts.sum(axis=2)
         singles = {}
         for user, sender in (("alice", "A"), ("bob", "B")):
             singles[user] = engine.recycled_singles(

@@ -9,10 +9,11 @@ reacts locally when its estimate crosses the trigger threshold.
 
 Two sampling backends share all bookkeeping: the default aggregate
 backend draws exact per-window multinomials (fast enough for hours of
-virtual time), while the per-slot backend materializes every slot and
-every announcement, a fixed-size chunk of slots at a time, which keeps
-the full protocol honest and pins down the privacy semantics at slot
-granularity.
+virtual time), while the per-slot backend samples every slot, a
+fixed-size chunk of slots at a time, and runs the protocol on columns:
+the announced slots, their outcomes, and each user's reveals as arrays
+with one entry per announced slot.  That keeps the full protocol honest
+and pins down the privacy semantics at slot granularity.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .decoy import (DEFAULT_ERROR_CORRECTION_EFFICIENCY, bound_y11_e11,
                     key_rate, p11)
 from .polarization import BASIS_STATES
 from .transmitter import (BASIS_LABELS, INTENSITY_LABELS, IntensityTable,
-                          draw_decisions, draw_phases)
-from .wire import (BasisIntensityReveal, BsmResult, PolarizationBitReveal)
+                          draw_classes, draw_phases)
 
 MODES = ("in-process", "networked")
 SAMPLING_BACKENDS = ("aggregate", "per-slot")
@@ -197,87 +197,113 @@ class SessionReport:
 # ---------------------------------------------------------------------------
 # Slot-level protocol operations
 # ---------------------------------------------------------------------------
+#
+# Announcements, reveals and bits are columns: slots ascend, outcomes
+# index OUTCOME_CLASSES, bases BASIS_LABELS, intensities
+# INTENSITY_LABELS.  A user's (bases, intensities) reveal columns hold
+# one entry per announced slot; its bit reveals are (slots, bits).
 
-def sift(outcomes, reveals_a, reveals_b, meas_basis: str,
+_PSI_PLUS, _SINGLE_FIRST, _SINGLE_SECOND = (
+    OUTCOME_CLASSES.index(outcome) for outcome in
+    (OUTCOME_PSI_PLUS, OUTCOME_SINGLE_FIRST, OUTCOME_SINGLE_SECOND))
+_MU, _OMEGA = INTENSITY_LABELS.index("mu"), INTENSITY_LABELS.index("omega")
+
+
+def user_reveals(slots, outcomes, pairs) -> tuple:
+    """What each user reveals about the announced slots.
+
+    pairs holds each announced slot's decision-pair index, 12 * class A
+    + class B with class = 6*basis + 3*bit + intensity.  Every user
+    reveals basis and intensity for every announced slot, and its bit
+    for a single click on which it sent a non-vacuum intensity while
+    the counterpart sent the near-vacuum one.
+
+    Returns (reveals, bit_reveals, bits), each {user: columns}; bits
+    are the true bits, which only error counting reads.
+    """
+    single = (outcomes == _SINGLE_FIRST) | (outcomes == _SINGLE_SECOND)
+    reveals, bit_reveals, bits = {}, {}, {}
+    for user, classes in zip(USERS, np.divmod(pairs, 12)):
+        basis, rest = np.divmod(classes, 6)
+        bit, intensity = np.divmod(rest, 3)
+        reveals[user], bits[user] = (basis, intensity), bit
+    for user, partner in zip(USERS, reversed(USERS)):
+        shown = single & (reveals[user][1] != _OMEGA) \
+            & (reveals[partner][1] == _OMEGA)
+        bit_reveals[user] = (slots[shown], bits[user][shown])
+    return reveals, bit_reveals, bits
+
+
+def sift(slots, outcomes, reveals_a, reveals_b, meas_basis: str,
          bits_a=None, bits_b=None):
     """Select key slots and count errors from announced results.
 
-    outcomes is an iterable of BsmResult; reveals_* map slot to
-    BasisIntensityReveal.  A slot enters the key when the projection
-    was the both-click class and both users reveal the measured basis
-    at signal intensity; a kept slot missing either reveal is dropped
-    and counted.  When the true bits are supplied, errors are counted
-    under the both-click correlation rule (anticorrelated bits are
-    correct in the measured basis).
+    A slot enters the key when the projection was the both-click class
+    and both users reveal the measured basis at signal intensity.  When
+    the true bits are supplied (one per announced slot), errors are
+    counted under the both-click correlation rule (anticorrelated bits
+    are correct in the measured basis).
 
     Returns (kept_slots, summary_dict).
     """
-    kept = []
+    basis = BASIS_LABELS.index(meas_basis)
+    (bases_a, ints_a), (bases_b, ints_b) = reveals_a, reveals_b
+    keep = (outcomes == _PSI_PLUS) & (bases_a == basis) \
+        & (bases_b == basis) & (ints_a == _MU) & (ints_b == _MU)
     n_errors = 0
-    n_missing = 0
-    for result in outcomes:
-        if result.outcome != OUTCOME_PSI_PLUS:
-            continue
-        ra = reveals_a.get(result.slot)
-        rb = reveals_b.get(result.slot)
-        if ra is None or rb is None:
-            n_missing += 1
-            continue
-        if ra.basis != meas_basis or rb.basis != meas_basis:
-            continue
-        if ra.intensity != "mu" or rb.intensity != "mu":
-            continue
-        kept.append(result.slot)
-        if bits_a is not None and bits_b is not None:
-            if bits_a[result.slot] == bits_b[result.slot]:
-                n_errors += 1
-    return kept, {"n_sifted": len(kept), "n_errors": n_errors,
-                  "n_dropped_missing_reveal": n_missing}
+    if bits_a is not None and bits_b is not None:
+        n_errors = int(np.count_nonzero(keep & (bits_a == bits_b)))
+    kept = slots[keep]
+    return kept, {"n_sifted": len(kept), "n_errors": n_errors}
 
 
-def recycle_singles(outcomes, reveals_a, reveals_b, bit_reveals_a,
+def recycle_singles(slots, outcomes, reveals_a, reveals_b, bit_reveals_a,
                     bit_reveals_b, meas_basis: str):
     """Estimator counts from partner-vacuum singles, enforcing privacy.
 
-    A bit reveal is legitimate only for a slot whose outcome was a
-    single click and whose counterpart revealed the near-vacuum
+    A bit reveal is legitimate only for an announced slot whose outcome
+    was a single click and whose counterpart revealed the near-vacuum
     intensity; any other bit reveal is a protocol fault and aborts the
     session.  Legitimate reveals from states prepared in the measured
     basis contribute (wrong-arm, total) counts per state label; the
     wrong arm for bit 0 is the second arm and vice versa.
 
-    Returns {user: {state label: (n_wrong, n_total)}}.
+    Returns {user: {state label: (n_wrong, n_total)}} with the labels
+    seen.
     """
-    outcome_by_slot = {r.slot: r for r in outcomes}
-    counts = {user: {} for user in USERS}
+    basis = BASIS_LABELS.index(meas_basis)
+    single = (outcomes == _SINGLE_FIRST) | (outcomes == _SINGLE_SECOND)
+    counts = {}
     sides = (("alice", bit_reveals_a, reveals_a, reveals_b),
              ("bob", bit_reveals_b, reveals_b, reveals_a))
-    for user, bit_reveals, own_reveals, partner_reveals in sides:
-        for slot, reveal in bit_reveals.items():
-            result = outcome_by_slot.get(slot)
-            if result is None or result.outcome not in (OUTCOME_SINGLE_FIRST,
-                                                        OUTCOME_SINGLE_SECOND):
-                raise SessionFailure(
-                    f"privacy fault: {user} revealed a bit for slot {slot} "
-                    "whose outcome was not a failed (single-click) projection")
-            partner = partner_reveals.get(slot)
-            if partner is None or partner.intensity != "omega":
-                raise SessionFailure(
-                    f"privacy fault: {user} revealed a bit for slot {slot} "
-                    "although the counterpart did not send the near-vacuum "
-                    "intensity")
-            own = own_reveals.get(slot)
-            if own is None or own.basis != meas_basis:
-                continue
-            if own.intensity == "omega":
-                continue
-            wrong_outcome = (OUTCOME_SINGLE_SECOND if reveal.bit == 0
-                             else OUTCOME_SINGLE_FIRST)
-            label = BASIS_STATES[own.basis][reveal.bit]
-            prev_wrong, prev_total = counts[user].get(label, (0, 0))
-            counts[user][label] = (prev_wrong
-                                   + (1 if result.outcome == wrong_outcome else 0),
-                                   prev_total + 1)
+    for user, (bit_slots, bits), (own_bases, own_ints), (_, partner_ints) \
+            in sides:
+        # Join the bit reveals to the announcements:
+        # bit_slots[joined] == slots[rows].
+        _, rows, joined = np.intersect1d(slots, bit_slots, assume_unique=True,
+                                         return_indices=True)
+        legitimate = np.zeros(len(bit_slots), dtype=bool)
+        legitimate[joined] = single[rows]
+        if not legitimate.all():
+            raise SessionFailure(
+                f"privacy fault: {user} revealed a bit for slot "
+                f"{bit_slots[~legitimate][0]} whose outcome was not a "
+                "failed (single-click) projection")
+        legitimate[joined] = partner_ints[rows] == _OMEGA
+        if not legitimate.all():
+            raise SessionFailure(
+                f"privacy fault: {user} revealed a bit for slot "
+                f"{bit_slots[~legitimate][0]} although the counterpart did "
+                "not send the near-vacuum intensity")
+        bits = bits[joined]
+        used = (own_bases[rows] == basis) & (own_ints[rows] != _OMEGA)
+        wrong = outcomes[rows] == np.where(bits == 0, _SINGLE_SECOND,
+                                           _SINGLE_FIRST)
+        totals = np.bincount(bits[used], minlength=2)
+        wrongs = np.bincount(bits[used & wrong], minlength=2)
+        counts[user] = {BASIS_STATES[meas_basis][bit]:
+                        (int(wrongs[bit]), int(totals[bit]))
+                        for bit in (0, 1) if totals[bit]}
     return counts
 
 
@@ -285,36 +311,32 @@ def recycle_singles(outcomes, reveals_a, reveals_b, bit_reveals_a,
 # Per-slot sampling backend
 # ---------------------------------------------------------------------------
 
-def _class_index(seed: int, slots: np.ndarray,
-                 table: IntensityTable) -> np.ndarray:
-    """Per-slot DecisionClasses index, 6*basis + 3*bit + intensity."""
-    bits, bases, ints = draw_decisions(seed, slots, table)
-    return bases * 6 + bits * 3 + ints
-
-
 def sample_window_slots(config: SessionConfig, window_index: int,
                         n_slots: int, meas_basis: str,
                         channel_a: np.ndarray, channel_b: np.ndarray,
                         rng: np.random.Generator, start: int = 0):
-    """Materialize slots [start, start + n_slots) of one window.
+    """Sample slots [start, start + n_slots) of one window.
 
-    Returns (announcements, reveals, bit_reveals, ground_truth) where
-    announcements are the node's BsmResults for every clicked slot,
-    reveals/bit_reveals follow the protocol rules, and ground_truth
-    carries the per-slot decisions for bookkeeping that the protocol
-    itself never sees.  Decisions and phases depend on the absolute slot
+    Returns (slots, outcomes, pairs, outcome_counts).  slots and
+    outcomes are the measurement node's announcements: the clicked
+    slots' absolute indices (uint64, ascending) and OUTCOME_CLASSES
+    indices.  pairs holds each announced slot's decision-pair index,
+    12 * class A + class B, from which user_reveals reads the reveals.
+    outcome_counts counts all n_slots slots by pair and outcome,
+    (12, 12, 4).  Decisions and phases depend on the absolute slot
     index alone and the clicks take n_slots consecutive (slot, arm)
     pairs from rng, so consecutive calls that tile a window give the
-    same slots, counts and rng state as one call over the whole window.
+    same columns, counts and rng state as one call over the whole
+    window.
     """
     classes_a = engine.DecisionClasses.build(config.table_a)
     classes_b = engine.DecisionClasses.build(config.table_b)
     abs_slots = np.arange(start, start + n_slots, dtype=np.uint64) \
         + np.uint64(window_index << 40)
-    # One index per slot, not six decision arrays: the clicked slots'
-    # bits, bases and intensities are read back from the class tables.
-    pair = _class_index(config.seed * 2 + 0, abs_slots, config.table_a) * 12 \
-        + _class_index(config.seed * 2 + 1, abs_slots, config.table_b)
+    # uint8 holds every pair index, 12 * 11 + 11 at most.
+    pair = draw_classes(config.seed * 2 + 0, abs_slots, config.table_a)
+    pair *= 12
+    pair += draw_classes(config.seed * 2 + 1, abs_slots, config.table_b)
     rotated_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
     rotated_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
     c0, c1 = phase_coefficients(rotated_a, classes_a.mean_photons,
@@ -340,48 +362,15 @@ def sample_window_slots(config: SessionConfig, window_index: int,
         - im_c1[cand_pair] * np.sin(phases)[:, None]
     clicks = uniforms[candidate] < 1.0 - keep * np.exp(-eta * intensity)
     # OUTCOME_CLASSES order: both arms, first only, second only, none.
-    outcome_idx = np.full(n_slots, 3)
-    outcome_idx[candidate] = 3 - 2 * clicks[:, 0] - clicks[:, 1]
-    outcome_counts = np.bincount(pair * 4 + outcome_idx,
-                                 minlength=12 * 12 * 4).reshape(12, 12, 4)
-
-    announcements = []
-    reveals = {user: {} for user in USERS}
-    bit_reveals = {user: {} for user in USERS}
-    detected = np.flatnonzero(outcome_idx != 3)
-    slots = abs_slots[detected].tolist()
-    det_a, det_b = np.divmod(pair[detected], 12)
-    det_bits_a = classes_a.bits[det_a].tolist()
-    det_bits_b = classes_b.bits[det_b].tolist()
-    det_ints_a = classes_a.intensities[det_a].tolist()
-    det_ints_b = classes_b.intensities[det_b].tolist()
-    sides = (("alice", classes_a.bases[det_a].tolist(), det_ints_a),
-             ("bob", classes_b.bases[det_b].tolist(), det_ints_b))
-    for k, (slot, code) in enumerate(zip(slots,
-                                         outcome_idx[detected].tolist())):
-        outcome = OUTCOME_CLASSES[code]
-        announcements.append(BsmResult(slot=slot, basis=meas_basis,
-                                       outcome=outcome))
-        for user, bases, ints in sides:
-            reveals[user][slot] = BasisIntensityReveal(
-                user=user, slot=slot, basis=BASIS_LABELS[bases[k]],
-                intensity=INTENSITY_LABELS[ints[k]])
-        if outcome in (OUTCOME_SINGLE_FIRST, OUTCOME_SINGLE_SECOND):
-            if INTENSITY_LABELS[det_ints_b[k]] == "omega" \
-                    and INTENSITY_LABELS[det_ints_a[k]] != "omega":
-                bit_reveals["alice"][slot] = PolarizationBitReveal(
-                    user="alice", slot=slot, bit=det_bits_a[k])
-            elif INTENSITY_LABELS[det_ints_a[k]] == "omega" \
-                    and INTENSITY_LABELS[det_ints_b[k]] != "omega":
-                bit_reveals["bob"][slot] = PolarizationBitReveal(
-                    user="bob", slot=slot, bit=det_bits_b[k])
-    truth = {
-        "bits": {"alice": dict(zip(slots, det_bits_a)),
-                 "bob": dict(zip(slots, det_bits_b))},
-        "combo_counts": outcome_counts.sum(axis=2),
-        "outcome_counts": outcome_counts,
-    }
-    return announcements, reveals, bit_reveals, truth
+    outcomes = 3 - 2 * clicks[:, 0] - clicks[:, 1]
+    counts = np.bincount(4 * cand_pair.astype(np.intp) + outcomes,
+                         minlength=576)
+    counts = counts.reshape(144, 4)
+    # Every slot that is no candidate is a no-click.
+    counts[:, 3] += np.bincount(pair, minlength=144) - counts.sum(axis=1)
+    clicked = outcomes != 3
+    return (cand_slots[clicked], outcomes[clicked], cand_pair[clicked],
+            counts.reshape(12, 12, 4))
 
 
 # ---------------------------------------------------------------------------

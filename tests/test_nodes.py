@@ -124,8 +124,11 @@ def test_cli_reports_a_dead_user_as_an_exit_code(monkeypatch, tmp_path,
 def test_cli_reports_an_in_process_accounting_fault_as_an_exit_code(
         monkeypatch, tmp_path, capsys):
     # The slot-level recycling count can never match the aggregate one.
-    monkeypatch.setattr(nodes, "recycle_singles", lambda *args: {
-        "alice": {"H": (0, 10 ** 12)}, "bob": {}})
+    def miscounting_recycle(slots, outcomes, reveals_a, reveals_b,
+                            bit_reveals_a, bit_reveals_b, meas_basis):
+        return {"alice": {"H": (0, 10 ** 12)}, "bob": {}}
+
+    monkeypatch.setattr(nodes, "recycle_singles", miscounting_recycle)
     ini = tmp_path / "per_slot.ini"
     ini.write_text("[session]\nduration_s = 15\nrep_rate_hz = 10000\n",
                    encoding="utf-8")

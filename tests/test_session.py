@@ -16,13 +16,12 @@ from mdiqkd_polcomp.nodes import CharlieNode, UserNode, run_in_process
 from mdiqkd_polcomp.polarization import rotation_about_stokes_axis
 from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
                                     recycle_singles, run_session,
-                                    sample_window_slots, sift)
-from mdiqkd_polcomp.transmitter import (BASIS_LABELS, INTENSITY_LABELS,
-                                        IntensityTable, draw_decisions,
-                                        draw_phases)
-from mdiqkd_polcomp.wire import (BasisIntensityReveal, BsmResult,
-                                 CompensatorState, MisalignmentAnnouncement,
-                                 PolarizationBitReveal, SessionEnd)
+                                    sample_window_slots, sift, user_reveals)
+from mdiqkd_polcomp.transmitter import (_DECISION_STREAM, BASIS_LABELS,
+                                        INTENSITY_LABELS, IntensityTable,
+                                        _slot_words, draw_phases)
+from mdiqkd_polcomp.wire import (CompensatorState, MisalignmentAnnouncement,
+                                 SessionEnd)
 
 
 def small_config(**overrides) -> SessionConfig:
@@ -72,48 +71,49 @@ def test_windows_cover_duration_with_partial_tail():
 # Slot-level sifting
 # ---------------------------------------------------------------------------
 
-def _reveal(user, slot, basis="Z", intensity="mu"):
-    return BasisIntensityReveal(user=user, slot=slot, basis=basis,
-                                intensity=intensity)
+def _announced(*rows):
+    """Announcement and reveal columns from (slot, outcome, reveal A,
+    reveal B) rows, a reveal being a (basis, intensity) label pair."""
+    slots = np.array([row[0] for row in rows], dtype=np.uint64)
+    outcomes = np.array([OUTCOME_CLASSES.index(row[1]) for row in rows],
+                        dtype=int)
+    reveals = tuple(
+        (np.array([BASIS_LABELS.index(row[k][0]) for row in rows], dtype=int),
+         np.array([INTENSITY_LABELS.index(row[k][1]) for row in rows],
+                  dtype=int))
+        for k in (2, 3))
+    return (slots, outcomes) + reveals
+
+
+def _bit_reveals(*pairs):
+    """(slots, bits) columns of polarization-bit reveals."""
+    return (np.array([slot for slot, _ in pairs], dtype=np.uint64),
+            np.array([bit for _, bit in pairs], dtype=int))
 
 
 def test_sift_keeps_matched_signal_coincidences():
-    outcomes = [BsmResult(slot=1, basis="Z", outcome="psi_plus"),
-                BsmResult(slot=2, basis="Z", outcome="single_first"),
-                BsmResult(slot=3, basis="Z", outcome="psi_plus")]
-    ra = {1: _reveal("alice", 1), 3: _reveal("alice", 3, basis="X")}
-    rb = {1: _reveal("bob", 1), 3: _reveal("bob", 3)}
-    kept, summary = sift(outcomes, ra, rb, "Z",
-                         bits_a={1: 0, 3: 0}, bits_b={1: 1, 3: 1})
-    assert kept == [1]
+    columns = _announced((1, "psi_plus", ("Z", "mu"), ("Z", "mu")),
+                         (2, "single_first", ("Z", "mu"), ("Z", "mu")),
+                         (3, "psi_plus", ("X", "mu"), ("Z", "mu")))
+    kept, summary = sift(*columns, "Z", bits_a=np.array([0, 0, 0]),
+                         bits_b=np.array([1, 1, 1]))
+    assert kept.tolist() == [1]
     # Slot 1: anticorrelated bits under matched basis - no error.
-    assert summary == {"n_sifted": 1, "n_errors": 0,
-                       "n_dropped_missing_reveal": 0}
+    assert summary == {"n_sifted": 1, "n_errors": 0}
 
 
 def test_sift_counts_correlated_bits_as_errors():
-    outcomes = [BsmResult(slot=9, basis="Z", outcome="psi_plus")]
-    kept, summary = sift(outcomes, {9: _reveal("alice", 9)},
-                         {9: _reveal("bob", 9)}, "Z",
-                         bits_a={9: 1}, bits_b={9: 1})
-    assert kept == [9]
+    columns = _announced((9, "psi_plus", ("Z", "mu"), ("Z", "mu")))
+    kept, summary = sift(*columns, "Z", bits_a=np.array([1]),
+                         bits_b=np.array([1]))
+    assert kept.tolist() == [9]
     assert summary["n_errors"] == 1
 
 
-def test_sift_drops_and_counts_missing_reveals():
-    outcomes = [BsmResult(slot=4, basis="Z", outcome="psi_plus"),
-                BsmResult(slot=5, basis="Z", outcome="psi_plus")]
-    kept, summary = sift(outcomes, {4: _reveal("alice", 4)},
-                         {5: _reveal("bob", 5)}, "Z")
-    assert kept == []
-    assert summary["n_dropped_missing_reveal"] == 2
-
-
 def test_sift_excludes_decoy_intensities():
-    outcomes = [BsmResult(slot=6, basis="Z", outcome="psi_plus")]
-    kept, _ = sift(outcomes, {6: _reveal("alice", 6, intensity="nu")},
-                   {6: _reveal("bob", 6)}, "Z")
-    assert kept == []
+    columns = _announced((6, "psi_plus", ("Z", "nu"), ("Z", "mu")))
+    kept, _ = sift(*columns, "Z")
+    assert kept.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,50 +121,47 @@ def test_sift_excludes_decoy_intensities():
 # ---------------------------------------------------------------------------
 
 def test_recycle_singles_counts_wrong_arm_clicks():
-    outcomes = [BsmResult(slot=1, basis="Z", outcome="single_second"),
-                BsmResult(slot=2, basis="Z", outcome="single_first")]
-    ra = {1: _reveal("alice", 1), 2: _reveal("alice", 2)}
-    rb = {1: _reveal("bob", 1, intensity="omega"),
-          2: _reveal("bob", 2, intensity="omega")}
-    bit_a = {1: PolarizationBitReveal(user="alice", slot=1, bit=0),
-             2: PolarizationBitReveal(user="alice", slot=2, bit=0)}
-    counts = recycle_singles(outcomes, ra, rb, bit_a, {}, "Z")
+    columns = _announced((1, "single_second", ("Z", "mu"), ("Z", "omega")),
+                         (2, "single_first", ("Z", "mu"), ("Z", "omega")),
+                         (3, "single_second", ("Z", "nu"), ("Z", "omega")))
+    counts = recycle_singles(*columns, _bit_reveals((1, 0), (2, 0), (3, 0)),
+                             _bit_reveals(), "Z")
     # Bit 0 (H): a second-arm click is the wrong arm.
-    assert counts["alice"] == {"H": (1, 2)}
+    assert counts["alice"] == {"H": (2, 3)}
     assert counts["bob"] == {}
 
 
 def test_recycle_singles_skips_other_basis_states():
-    outcomes = [BsmResult(slot=1, basis="Z", outcome="single_first")]
-    ra = {1: _reveal("alice", 1, basis="X")}
-    rb = {1: _reveal("bob", 1, intensity="omega")}
-    bit_a = {1: PolarizationBitReveal(user="alice", slot=1, bit=0)}
-    counts = recycle_singles(outcomes, ra, rb, bit_a, {}, "Z")
+    # Slot 2: both sent the near-vacuum intensity.
+    columns = _announced((1, "single_first", ("X", "mu"), ("Z", "omega")),
+                         (2, "single_first", ("Z", "omega"), ("Z", "omega")))
+    counts = recycle_singles(*columns, _bit_reveals((1, 0), (2, 0)),
+                             _bit_reveals(), "Z")
     assert counts["alice"] == {}
 
 
 def test_recycle_rejects_bit_reveal_for_coincidence_slot():
-    outcomes = [BsmResult(slot=1, basis="Z", outcome="psi_plus")]
-    ra = {1: _reveal("alice", 1)}
-    rb = {1: _reveal("bob", 1, intensity="omega")}
-    bit_a = {1: PolarizationBitReveal(user="alice", slot=1, bit=0)}
+    columns = _announced((1, "psi_plus", ("Z", "mu"), ("Z", "omega")))
     with pytest.raises(SessionError, match="privacy fault"):
-        recycle_singles(outcomes, ra, rb, bit_a, {}, "Z")
+        recycle_singles(*columns, _bit_reveals((1, 0)), _bit_reveals(), "Z")
 
 
 def test_recycle_rejects_bit_reveal_without_vacuum_partner():
-    outcomes = [BsmResult(slot=1, basis="Z", outcome="single_first")]
-    ra = {1: _reveal("alice", 1)}
-    rb = {1: _reveal("bob", 1, intensity="nu")}
-    bit_a = {1: PolarizationBitReveal(user="alice", slot=1, bit=0)}
+    columns = _announced((1, "single_first", ("Z", "mu"), ("Z", "nu")))
     with pytest.raises(SessionError, match="near-vacuum"):
-        recycle_singles(outcomes, ra, rb, bit_a, {}, "Z")
+        recycle_singles(*columns, _bit_reveals((1, 0)), _bit_reveals(), "Z")
 
 
 def test_recycle_rejects_bit_reveal_for_unannounced_slot():
-    bit_a = {5: PolarizationBitReveal(user="alice", slot=5, bit=1)}
     with pytest.raises(SessionError, match="privacy fault"):
-        recycle_singles([], {}, {}, bit_a, {}, "Z")
+        recycle_singles(*_announced(), _bit_reveals((5, 1)), _bit_reveals(),
+                        "Z")
+    # Between two legitimate singles, bob's reveal of slot 5 joins none.
+    columns = _announced((4, "single_first", ("Z", "omega"), ("Z", "mu")),
+                         (6, "single_second", ("Z", "omega"), ("X", "nu")))
+    with pytest.raises(SessionError, match="bob revealed a bit for slot 5 "):
+        recycle_singles(*columns, _bit_reveals(),
+                        _bit_reveals((4, 0), (5, 1), (6, 1)), "Z")
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +390,11 @@ def test_sample_window_slots_calls_tile_a_window():
                                parts_rng, 0)
     tail = sample_window_slots(config, 3, n_slots - split, "X", CHANNEL_A,
                                CHANNEL_B, parts_rng, split)
-    assert whole[0] and head[0] and tail[0]
-    assert whole[0] == head[0] + tail[0]
-    for user in USERS:
-        assert whole[1][user] == {**head[1][user], **tail[1][user]}
-        assert whole[2][user] == {**head[2][user], **tail[2][user]}
-        assert whole[3]["bits"][user] == {**head[3]["bits"][user],
-                                          **tail[3]["bits"][user]}
-    for key in ("combo_counts", "outcome_counts"):
-        assert np.array_equal(whole[3][key], head[3][key] + tail[3][key])
+    assert len(whole[0]) and len(head[0]) and len(tail[0])
+    for column in range(3):
+        assert np.array_equal(whole[column], np.concatenate(
+            (head[column], tail[column])))
+    assert np.array_equal(whole[3], head[3] + tail[3])
     assert whole_rng.random() == parts_rng.random()
 
 
@@ -423,16 +416,29 @@ def _click_probability(detector, c0, re_c1, im_c1, phases):
         * np.exp(-detector.efficiency * intensity)
 
 
+def _float_decisions(seed, slots, table):
+    """(bits, bases, intensities): the uniform (word >> 11) * 2^-53 falls
+    in the cumulative intensity probabilities."""
+    words = _slot_words(seed, slots, _DECISION_STREAM)
+    uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    edges = np.cumsum(table.probabilities)
+    return ((words & np.uint64(1)).astype(np.int64),
+            ((words >> np.uint64(1)) & np.uint64(1)).astype(np.int64),
+            (uniforms >= edges[0]).astype(np.int64) + (uniforms >= edges[1]))
+
+
 def _dense_window_slots(config, window_index, n_slots, meas_basis,
                         channel_a, channel_b, rng):
     """Reference sampler: a phase and click probability for every slot.
 
-    Returns what sample_window_slots should: the announcements, the
-    basis/intensity and bit reveals, and the outcome counts.
+    Returns what sample_window_slots should, (slots, outcomes, pairs,
+    outcome_counts), and then the reveals: per user, (basis, intensity)
+    for every announced slot, (slot, bit) where it reveals its bit, and
+    its true bits.
     """
     slots = np.arange(n_slots, dtype=np.uint64) + np.uint64(window_index << 40)
     (bits_a, bases_a, ints_a), (bits_b, bases_b, ints_b) = (
-        draw_decisions(config.seed * 2 + k, slots, table)
+        _float_decisions(config.seed * 2 + k, slots, table)
         for k, table in enumerate((config.table_a, config.table_b)))
     pair = (bases_a * 6 + bits_a * 3 + ints_a) * 12 \
         + bases_b * 6 + bits_b * 3 + ints_b
@@ -446,23 +452,20 @@ def _dense_window_slots(config, window_index, n_slots, meas_basis,
     outcomes = 3 - 2 * clicks[:, 0] - clicks[:, 1]
     counts = np.bincount(pair * 4 + outcomes,
                          minlength=576).reshape(12, 12, 4)
-    announcements, reveals = [], {user: {} for user in USERS}
-    bit_reveals = {user: {} for user in USERS}
+    announced = np.flatnonzero(outcomes != 3)
+    reveals, bit_reveals, bits = {}, {}, {}
     sides = (("alice", bits_a, bases_a, ints_a, ints_b),
              ("bob", bits_b, bases_b, ints_b, ints_a))
-    for k in np.flatnonzero(outcomes != 3).tolist():
-        slot = int(slots[k])
-        announcements.append(BsmResult(slot=slot, basis=meas_basis,
-                                       outcome=OUTCOME_CLASSES[outcomes[k]]))
-        for user, bits, bases, ints, partner_ints in sides:
-            reveals[user][slot] = BasisIntensityReveal(
-                user=user, slot=slot, basis=BASIS_LABELS[bases[k]],
-                intensity=INTENSITY_LABELS[ints[k]])
-            if outcomes[k] in (1, 2) and partner_ints[k] == 2 \
-                    and ints[k] != 2:
-                bit_reveals[user][slot] = PolarizationBitReveal(
-                    user=user, slot=slot, bit=int(bits[k]))
-    return announcements, reveals, bit_reveals, counts
+    for user, own_bits, bases, ints, partner_ints in sides:
+        reveals[user] = [(BASIS_LABELS[bases[k]], INTENSITY_LABELS[ints[k]])
+                         for k in announced]
+        bit_reveals[user] = [(int(slots[k]), int(own_bits[k]))
+                             for k in announced
+                             if outcomes[k] in (1, 2) and partner_ints[k] == 2
+                             and ints[k] != 2]
+        bits[user] = own_bits[announced].tolist()
+    return ((slots[announced], outcomes[announced], pair[announced], counts),
+            (reveals, bit_reveals, bits))
 
 
 THINNING_CASES = {
@@ -487,16 +490,25 @@ def test_thinned_sampler_matches_the_dense_reference(case, meas_basis):
         channel_b = unitary_group.rvs(2, random_state=channels)
         dense_rng = np.random.default_rng(index)
         thinned_rng = np.random.default_rng(index)
-        announcements, reveals, bit_reveals, counts = _dense_window_slots(
+        dense, dense_reveals = _dense_window_slots(
             config, index, 1 << 16, meas_basis, channel_a, channel_b,
             dense_rng)
         thinned = sample_window_slots(config, index, 1 << 16, meas_basis,
                                       channel_a, channel_b, thinned_rng)
-        assert announcements and thinned[0] == announcements
-        assert thinned[1] == reveals
-        assert thinned[2] == bit_reveals
-        assert np.array_equal(thinned[3]["outcome_counts"], counts)
+        assert len(dense[0]) and len(thinned) == len(dense)
+        for column, expected in zip(thinned, dense):
+            assert np.array_equal(column, expected)
         assert thinned_rng.random() == dense_rng.random()
+        reveals, bit_reveals, bits = user_reveals(*thinned[:3])
+        for user in USERS:
+            bases, intensities = reveals[user]
+            assert [(BASIS_LABELS[basis], INTENSITY_LABELS[intensity])
+                    for basis, intensity in zip(bases, intensities)] \
+                == dense_reveals[0][user]
+            assert list(zip(*(column.tolist()
+                              for column in bit_reveals[user]))) \
+                == dense_reveals[1][user]
+            assert bits[user].tolist() == dense_reveals[2][user]
 
 
 @pytest.mark.parametrize("meas_basis", ["Z", "X"])
@@ -576,11 +588,11 @@ def _slot_counts(config, index, n_slots, meas_basis, channel_a, channel_b,
     combo = np.zeros((12, 12), dtype=np.int64)
     outcomes = np.zeros((12, 12, 4), dtype=np.int64)
     for start in range(0, n_slots, nodes.SLOT_CHUNK):
-        truth = sample_window_slots(
+        counts = sample_window_slots(
             config, index, min(nodes.SLOT_CHUNK, n_slots - start), meas_basis,
             channel_a, channel_b, rng, start)[3]
-        combo += truth["combo_counts"]
-        outcomes += truth["outcome_counts"]
+        combo += counts.sum(axis=2)
+        outcomes += counts
     return combo, outcomes
 
 

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mdiqkd_polcomp import engine
 from mdiqkd_polcomp import transmitter as tx
+
+
+def class_probabilities(table):
+    """((basis, bit, intensity) labels, probability) per decision class."""
+    classes = engine.DecisionClasses.build(table)
+    return [((tx.BASIS_LABELS[basis], int(bit), tx.INTENSITY_LABELS[level]), p)
+            for basis, bit, level, p in zip(classes.bases, classes.bits,
+                                            classes.intensities,
+                                            classes.probabilities)]
 
 
 def enumerate_pair_probability(table_a, table_b, keep):
@@ -14,19 +24,42 @@ def enumerate_pair_probability(table_a, table_b, keep):
 
     keep receives ((basis_a, bit_a, int_a), (basis_b, bit_b, int_b)).
     """
-    probs_a = tx.decision_probabilities(table_a)
-    probs_b = tx.decision_probabilities(table_b)
     total = 0.0
-    for choice_a, p_a in probs_a.items():
-        for choice_b, p_b in probs_b.items():
+    for choice_a, p_a in class_probabilities(table_a):
+        for choice_b, p_b in class_probabilities(table_b):
             if keep(choice_a, choice_b):
                 total += p_a * p_b
     return total
 
 
+def float_classes(words, table):
+    """Oracle for draw_classes: the classes decoded through floats.
+
+    The uniform (words >> 11) * 2^-53 falls in the cumulative intensity
+    probabilities; the bit is the lowest bit, the basis the next one.
+    """
+    uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    edges = np.cumsum(table.probabilities)
+    intensity = (uniforms >= edges[0]).astype(np.int64) \
+        + (uniforms >= edges[1])
+    bits = (words & np.uint64(1)).astype(np.int64)
+    bases = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.int64)
+    return 6 * bases + 3 * bits + intensity
+
+
+def decisions(seed, slots, table):
+    """(bits, basis indices, intensity indices) from draw_classes."""
+    basis, rest = np.divmod(tx.draw_classes(seed, slots, table), 6)
+    bits, intensity = np.divmod(rest, 3)
+    return bits, basis, intensity
+
+
 def test_decision_probabilities_sum_to_one():
     table = tx.reference_intensity_table()
-    assert abs(sum(tx.decision_probabilities(table).values()) - 1.0) < 1e-12
+    probabilities = engine.DecisionClasses.build(table).probabilities
+    assert abs(probabilities.sum() - 1.0) < 1e-12
+    assert probabilities.reshape(4, 3) == pytest.approx(
+        np.tile(0.25 * np.array(table.probabilities), (4, 1)), abs=1e-15)
 
 
 def test_key_fraction_matches_enumeration():
@@ -76,24 +109,58 @@ def test_intensity_table_validation():
 
 def test_decisions_are_deterministic_per_seed_and_slot():
     table = tx.reference_intensity_table()
-    one = tx.draw_decisions(9, np.array([123_456]), table)
-    two = tx.draw_decisions(9, np.array([123_456]), table)
-    assert all(np.array_equal(a, b) for a, b in zip(one, two))
+    one = tx.draw_classes(9, np.array([123_456]), table)
+    two = tx.draw_classes(9, np.array([123_456]), table)
+    assert one.dtype == np.uint8 and np.array_equal(one, two)
     # A bulk draw must agree with slot-by-slot draws.
     slots = np.arange(500, 600)
-    bits, bases, intensity = tx.draw_decisions(9, slots, table)
+    bulk = tx.draw_classes(9, slots, table)
     for offset, slot in enumerate(slots):
-        single = tx.draw_decisions(9, np.array([slot]), table)
-        assert tuple(single) == (bits[offset], bases[offset],
-                                 intensity[offset])
-    other_seed = tx.draw_decisions(10, slots, table)
-    assert any(not np.array_equal(a, b) for a, b in zip((bits, bases, intensity), other_seed))
+        assert tx.draw_classes(9, np.array([slot]), table)[0] == bulk[offset]
+    assert not np.array_equal(bulk, tx.draw_classes(10, slots, table))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2024, 2 ** 63 + 12_345])
+def test_draw_classes_matches_the_float_decoder(seed):
+    table = tx.reference_intensity_table()
+    slots = np.arange(1 << 20, dtype=np.uint64) + np.uint64(seed % 7 << 40)
+    words = tx._slot_words(seed, slots, tx._DECISION_STREAM)
+    assert np.array_equal(tx.draw_classes(seed, slots, table),
+                          float_classes(words, table))
+
+
+@pytest.mark.parametrize("probabilities", [(0.52, 0.33, 0.15),
+                                           (0.5, 0.25, 0.25),
+                                           (0.6, 0.4, 0.0),
+                                           (0.3, 0.15, 0.55)])
+def test_draw_classes_is_exact_at_the_intensity_edges(probabilities):
+    # Every double in [0.5, 1) is a multiple of 2^-53, so those edges
+    # scale to integers: (0.5, 0.25, 0.25) puts them on words whose
+    # uniform equals them exactly, and (0.6, 0.4, 0.0) puts the second
+    # at 1.  Edges below 0.5, as in (0.3, 0.15, 0.55), scale to
+    # fractions, where rounding up matters.
+    table = tx.IntensityTable(p_mu=probabilities[0], p_nu=probabilities[1],
+                              p_omega=probabilities[2])
+    tops = []
+    for edge in np.cumsum(table.probabilities)[:2]:
+        scaled = edge * 2.0 ** 53
+        top = math.ceil(scaled)
+        assert top - 1 < scaled <= top
+        tops += [top - 2, top - 1, top, top + 1]
+    tops = np.array([top for top in tops if 0 <= top < 2 ** 53],
+                    dtype=np.uint64)
+    low = np.arange(1 << 11, dtype=np.uint64)[::97]
+    words = ((tops[:, None] << np.uint64(11)) | low).ravel()
+    classes = tx._classes_from_words(words, table)
+    assert np.array_equal(classes, float_classes(words, table))
+    # Both sides of every edge occur.
+    assert len(set((classes % 3).tolist())) == 3 - (table.p_omega == 0.0)
 
 
 def test_empirical_frequencies_match_table():
     table = tx.reference_intensity_table()
     n = 1_000_000
-    bits, bases, intensity = tx.draw_decisions(2024, np.arange(n), table)
+    bits, bases, intensity = decisions(2024, np.arange(n), table)
     for value, expected in ((bits, 0.5), (bases, 0.5)):
         observed = float(np.mean(value))
         sigma = math.sqrt(expected * (1 - expected) / n)
@@ -107,7 +174,8 @@ def test_empirical_frequencies_match_table():
 def test_bit_stream_passes_runs_test():
     # Wald-Wolfowitz runs test on the bit stream at the 1% level.
     table = tx.reference_intensity_table()
-    bits, _, _ = tx.draw_decisions(77, np.arange(100_000), table)
+    bits, _, _ = decisions(77, np.arange(100_000), table)
+    bits = bits.astype(np.int64)
     n_one = int(np.sum(bits))
     n_zero = len(bits) - n_one
     runs = 1 + int(np.sum(bits[1:] != bits[:-1]))

@@ -99,9 +99,6 @@ class BasisSchedule:
     def window_basis(self, index: int) -> str:
         return "Z" if index % 2 == 0 else "X"
 
-    def basis_at(self, t: float) -> str:
-        return self.window_basis(self.window_index(t))
-
     def n_windows(self, duration: float) -> int:
         """Number of complete windows in a session of `duration` seconds."""
         return int(math.floor(duration / self.period + 1e-9))
@@ -151,7 +148,10 @@ def _log_i0(z: np.ndarray) -> np.ndarray:
     q = (z / 2.0) ** 2
     series = np.ones_like(q)
     for k in range(_I0_SERIES_TERMS, 1, -1):
-        series = 1.0 + series * q / k ** 2
+        # series = 1 + series * q / k^2, in place.
+        np.multiply(series, q, out=series)
+        np.divide(series, k ** 2, out=series)
+        np.add(series, 1.0, out=series)
     if (z < _I0_SERIES_LIMIT).all():
         return np.log1p(q * series)
     # Only bright inputs get here, so scipy is imported only for them.
@@ -174,10 +174,12 @@ def class_probability_grid(states_a: np.ndarray, mus_a: np.ndarray,
     """
     c0, c1 = phase_coefficients(states_a, mus_a, states_b, mus_b, basis)
     eta = params.efficiency
-    log_i0_arms = _log_i0(eta * np.abs(c1))
+    # One series evaluation over both arms and their sum.
+    log_i0 = _log_i0(eta * np.abs(np.concatenate(
+        [c1, c1.sum(axis=-1, keepdims=True)], axis=-1)))
+    log_i0_arms = log_i0[..., :2]
     log_quiet = math.log1p(-params.dark_prob) - eta * c0 + log_i0_arms
-    log_corr = _log_i0(eta * np.abs(c1.sum(axis=-1))) \
-        - log_i0_arms.sum(axis=-1)
+    log_corr = log_i0[..., 2] - log_i0_arms.sum(axis=-1)
     log_first, log_second = log_quiet[..., 0], log_quiet[..., 1]
     quiet_first, quiet_second = np.exp(log_first), np.exp(log_second)
     both_quiet = quiet_first * quiet_second
@@ -188,17 +190,6 @@ def class_probability_grid(states_a: np.ndarray, mus_a: np.ndarray,
         -quiet_first * np.expm1(log_second + log_corr),
         both_quiet * np.exp(log_corr),
     ], axis=-1)
-
-
-def class_probabilities(jones_a: np.ndarray, mu_a: float,
-                        jones_b: np.ndarray, mu_b: float,
-                        basis: str, params: DetectorParams) -> np.ndarray:
-    """Phase-averaged class probabilities for one input pair."""
-    grid = class_probability_grid(
-        np.asarray(jones_a, dtype=complex)[None, :], np.array([mu_a]),
-        np.asarray(jones_b, dtype=complex)[None, :], np.array([mu_b]),
-        basis, params)
-    return grid[0, 0]
 
 
 def pair_gain_and_qber(pair_basis: str, meas_basis: str,

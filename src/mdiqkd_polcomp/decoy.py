@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,62 +93,69 @@ def poisson_pmf(n: int, mean: float) -> float:
 # Tallies
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TallyCell:
+# TallySet.counts axes: preparation basis, intensity A, intensity B and
+# the quantity (sent, coincidences, errors).
+TALLY_SHAPE = (len(BASIS_LABELS), len(INTENSITY_LABELS),
+               len(INTENSITY_LABELS), 3)
+
+
+# Maps a cell's (sent, coincidences, errors) to the gaps
+# (sent - coincidences, coincidences - errors, errors), all >= 0.
+_ORDER_GAPS = np.array([[1, 0, 0], [-1, 1, 0], [0, -1, 1]], dtype=np.int64)
+
+
+class TallyCell(NamedTuple):
     """Counts for one (preparation basis, intensity pair) cell."""
 
-    sent: int = 0
-    coincidences: int = 0
-    errors: int = 0
-
-    def check(self) -> None:
-        if not 0 <= self.errors <= self.coincidences <= self.sent:
-            raise DecoyError(
-                f"tally cell must satisfy errors <= coincidences <= sent, "
-                f"got {self.errors}/{self.coincidences}/{self.sent}")
-
-    def merged(self, other: "TallyCell") -> "TallyCell":
-        return TallyCell(self.sent + other.sent,
-                         self.coincidences + other.coincidences,
-                         self.errors + other.errors)
+    sent: int
+    coincidences: int
+    errors: int
 
 
-def _tally_key(basis: str, intensity_a: str, intensity_b: str):
+def _cell_index(basis: str, intensity_a: str, intensity_b: str) -> tuple:
     if basis not in BASIS_LABELS:
         raise DecoyError(f"unknown basis {basis!r}")
     if intensity_a not in INTENSITY_LABELS or intensity_b not in INTENSITY_LABELS:
         raise DecoyError(f"unknown intensity pair ({intensity_a!r}, {intensity_b!r})")
-    return (basis, intensity_a, intensity_b)
+    return (BASIS_LABELS.index(basis), INTENSITY_LABELS.index(intensity_a),
+            INTENSITY_LABELS.index(intensity_b))
 
 
-@dataclass
 class TallySet:
     """Per preparation-basis, per intensity-pair counters for one half.
 
-    Merging is associative, so partial tallies accumulated in parallel
-    reduce to the same totals in any order.
+    `counts` is one int64 array of shape TALLY_SHAPE; every cell keeps
+    errors <= coincidences <= sent.
     """
 
-    cells: dict = field(default_factory=dict)
+    def __init__(self):
+        self.counts = np.zeros(TALLY_SHAPE, dtype=np.int64)
+
+    def add(self, counts: np.ndarray) -> None:
+        """Add a TALLY_SHAPE array of counts, checking every cell."""
+        total = self.counts + counts
+        if (total @ _ORDER_GAPS).min() < 0:
+            for sent, coincidences, errors in total.reshape(-1, 3).tolist():
+                if not 0 <= errors <= coincidences <= sent:
+                    raise DecoyError(
+                        f"tally cell must satisfy errors <= coincidences "
+                        f"<= sent, got {errors}/{coincidences}/{sent}")
+        self.counts = total
 
     def record(self, basis: str, intensity_a: str, intensity_b: str,
                sent: int = 0, coincidences: int = 0, errors: int = 0) -> None:
-        key = _tally_key(basis, intensity_a, intensity_b)
-        cell = self.cells.get(key, TallyCell())
-        cell = cell.merged(TallyCell(sent, coincidences, errors))
-        cell.check()
-        self.cells[key] = cell
+        delta = np.zeros(TALLY_SHAPE, dtype=np.int64)
+        try:
+            delta[_cell_index(basis, intensity_a, intensity_b)] = (
+                sent, coincidences, errors)
+        except OverflowError as exc:
+            raise DecoyError(f"tally counts out of int64 range: "
+                             f"{sent}/{coincidences}/{errors}") from exc
+        self.add(delta)
 
     def cell(self, basis: str, intensity_a: str, intensity_b: str) -> TallyCell:
-        return self.cells.get(_tally_key(basis, intensity_a, intensity_b),
-                              TallyCell())
-
-    def merge(self, other: "TallySet") -> "TallySet":
-        merged = TallySet(cells={k: TallyCell(v.sent, v.coincidences, v.errors)
-                                 for k, v in self.cells.items()})
-        for key, cell in other.cells.items():
-            merged.cells[key] = merged.cells.get(key, TallyCell()).merged(cell)
-        return merged
+        return TallyCell(*self.counts[
+            _cell_index(basis, intensity_a, intensity_b)].tolist())
 
     def gain(self, basis: str, intensity_a: str, intensity_b: str) -> float:
         cell = self.cell(basis, intensity_a, intensity_b)

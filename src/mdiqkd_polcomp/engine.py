@@ -17,7 +17,9 @@ therefore exact multinomials:
 
 The basis, bit and intensity rules that route those counts (tally
 cells, key candidates, recyclable singles) are stated once, as boolean
-masks over the decision pairs (pair_masks).
+masks over the decision pairs (pair_masks).  From the masks follow 0/1
+routing matrices (routing_matrices), so each piece of window
+bookkeeping is one matrix product of the flattened outcome counts.
 
 Aggregating those counts reproduces the exact joint distribution of
 every quantity the session tracks (tallies, estimator counts,
@@ -26,15 +28,15 @@ conservation classes) without touching individual slots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .bsm import DetectorParams, class_probability_grid
-from .decoy import TallySet
+from .decoy import TALLY_SHAPE, TallySet
 from .polarization import BASIS_STATES, bb84_state
 from .transmitter import BASIS_LABELS, INTENSITY_LABELS, IntensityTable
 
@@ -46,11 +48,6 @@ PSI_PLUS, SINGLE_FIRST, SINGLE_SECOND, NO_CLICK = range(N_OUTCOME_CLASSES)
 
 CONSERVATION_CLASSES = ("key_candidate", "recycled", "decoy_coincidence",
                         "discarded")
-
-# TallySet cells (preparation basis, intensity A, intensity B); the
-# cell of basis b and intensity indices (x, y) sits at 9*b + 3*x + y.
-TALLY_CELLS = tuple(product(BASIS_LABELS, INTENSITY_LABELS,
-                            INTENSITY_LABELS))
 
 
 class EngineError(ValueError):
@@ -176,6 +173,88 @@ def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
     return combo_counts, rng.multinomial(combo_counts, class_probs)
 
 
+class RoutingMatrices(NamedTuple):
+    """0/1 float64 matrices that route a window's outcome counts.
+
+    Each has one row per entry of the flattened (12, 12, 4)
+    outcome_counts:
+    tallies: TALLY_SHAPE columns, flattened; sent, coincidences and
+      errors per (preparation basis, intensity A, intensity B) cell.
+    singles_a, singles_b: (n_wrong, n_total) for the measured basis'
+      bit-0 state, then the same for its bit-1 state.
+    conservation: key_candidate, recycled and decoy_coincidence.
+    """
+
+    tallies: np.ndarray
+    singles_a: np.ndarray
+    singles_b: np.ndarray
+    conservation: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def routing_matrices(classes_a: DecisionClasses, classes_b: DecisionClasses,
+                     meas_basis: str) -> RoutingMatrices:
+    """The pair_masks rules as RoutingMatrices, cached on the same key.
+
+    Every column is a boolean mask over (class A, class B, outcome).
+    """
+    masks = pair_masks(classes_a, classes_b, meas_basis)
+    outcome = np.arange(N_OUTCOME_CLASSES)
+    psi = outcome == PSI_PLUS
+    single = (outcome == SINGLE_FIRST) | (outcome == SINGLE_SECOND)
+
+    # Same-basis pairs one-hot over the tally cells, any outcome.
+    n_int = len(INTENSITY_LABELS)
+    cell = ((classes_a.bases[:, None] * n_int
+             + classes_a.intensities[:, None]) * n_int
+            + classes_b.intensities[None, :])
+    cells = (masks.same_basis[..., None]
+             & (cell[..., None] == np.arange(math.prod(TALLY_SHAPE[:3]))))
+    cells = np.repeat(cells[:, :, None, :], N_OUTCOME_CLASSES, axis=2)
+    coincidences = cells & psi[:, None]
+    tallies = np.stack([cells, coincidences,
+                        coincidences & masks.wrong_bits[..., None, None]],
+                       axis=-1)
+
+    def singles(recyclable, own_bits):
+        # The wrong-arm single for bit 0 is the second arm and vice versa.
+        columns = []
+        for bit in (0, 1):
+            own = (recyclable & (own_bits == bit))[..., None]
+            columns += [own & (outcome == SINGLE_SECOND - bit), own & single]
+        return np.stack(columns, axis=-1)
+
+    routing = RoutingMatrices(
+        tallies=tallies,
+        singles_a=singles(masks.recyclable_a, classes_a.bits[:, None]),
+        singles_b=singles(masks.recyclable_b, classes_b.bits[None, :]),
+        conservation=np.stack([
+            masks.key_candidate[..., None] & psi,
+            (masks.recyclable_a | masks.recyclable_b)[..., None] & single,
+            (masks.same_basis & ~masks.key_candidate)[..., None] & psi,
+        ], axis=-1))
+    n_rows = len(classes_a) * len(classes_b) * N_OUTCOME_CLASSES
+    routing = RoutingMatrices(*(matrix.reshape(n_rows, -1).astype(np.float64)
+                                for matrix in routing))
+    for matrix in routing:
+        matrix.flags.writeable = False
+    return routing
+
+
+# A float64 sum of nonnegative integers is exact, in any order, while the
+# exact total stays below 2**53; a window holds far fewer slots.
+_EXACT_FLOAT_SUM = 2 ** 53
+
+
+def _route(outcome_counts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Integer sums of outcome_counts along the columns of a routing matrix."""
+    sums = outcome_counts.reshape(-1).astype(np.float64) @ matrix
+    # Rounding is monotone, so an inexact sum shows as one at 2**53 or more.
+    if sums.max() >= _EXACT_FLOAT_SUM:
+        raise EngineError("window counts too large to route exactly")
+    return sums.astype(np.int64)
+
+
 def accumulate_tallies(tallies: TallySet, classes_a: DecisionClasses,
                        classes_b: DecisionClasses, meas_basis: str,
                        combo_counts: np.ndarray,
@@ -183,25 +262,11 @@ def accumulate_tallies(tallies: TallySet, classes_a: DecisionClasses,
     """Fold one window's same-basis pair counts into a TallySet.
 
     Coincidences on a both-click pair are erroneous when the bits match
-    in the measurement basis or differ in its conjugate.
+    in the measurement basis or differ in its conjugate.  A pair's slot
+    count is the sum of its outcome counts, so combo_counts is implied.
     """
-    masks = pair_masks(classes_a, classes_b, meas_basis)
-    same = masks.same_basis
-    n_int, n_cells = len(INTENSITY_LABELS), len(TALLY_CELLS)
-    cell = ((classes_a.bases[:, None] * n_int
-             + classes_a.intensities[:, None]) * n_int
-            + classes_b.intensities[None, :])[same]
-    psi = outcome_counts[..., PSI_PLUS]
-    quantities = np.stack([combo_counts, psi, psi * masks.wrong_bits])
-    # Sent, coincidences and errors each fill their own block of cells.
-    totals = np.bincount(
-        (cell + n_cells * np.arange(3)[:, None]).ravel(),
-        weights=quantities[:, same].ravel(),
-        minlength=3 * n_cells).reshape(3, n_cells).astype(np.int64)
-    for (basis, intensity_a, intensity_b), (sent, coincidences, errors) \
-            in zip(TALLY_CELLS, totals.T.tolist()):
-        tallies.record(basis, intensity_a, intensity_b, sent=sent,
-                       coincidences=coincidences, errors=errors)
+    routing = routing_matrices(classes_a, classes_b, meas_basis)
+    tallies.add(_route(outcome_counts, routing.tallies).reshape(TALLY_SHAPE))
 
 
 def recycled_singles(classes_a: DecisionClasses, classes_b: DecisionClasses,
@@ -218,19 +283,12 @@ def recycled_singles(classes_a: DecisionClasses, classes_b: DecisionClasses,
     """
     if sender not in ("A", "B"):
         raise EngineError(f"sender must be 'A' or 'B', got {sender!r}")
-    masks = pair_masks(classes_a, classes_b, meas_basis)
-    if sender == "A":
-        own, recyclable, cells = classes_a, masks.recyclable_a, outcome_counts
-    else:
-        own, recyclable = classes_b, masks.recyclable_b.T
-        cells = outcome_counts.transpose(1, 0, 2)
-    # Per own class: recyclable singles on the (first, second) arm.
-    singles = (cells[..., SINGLE_FIRST:SINGLE_SECOND + 1]
-               * recyclable[..., None]).sum(axis=1)
+    routing = routing_matrices(classes_a, classes_b, meas_basis)
+    wrong_0, total_0, wrong_1, total_1 = _route(
+        outcome_counts,
+        routing.singles_a if sender == "A" else routing.singles_b).tolist()
     labels = BASIS_STATES[meas_basis]
-    return {labels[bit]: (int(singles[own.bits == bit, 1 - bit].sum()),
-                          int(singles[own.bits == bit].sum()))
-            for bit in (0, 1)}
+    return {labels[0]: (wrong_0, total_0), labels[1]: (wrong_1, total_1)}
 
 
 def conservation_counts(classes_a: DecisionClasses,
@@ -247,16 +305,9 @@ def conservation_counts(classes_a: DecisionClasses,
       basis (feeds the tallies only).
     discarded: everything else, including all no-click slots.
     """
-    masks = pair_masks(classes_a, classes_b, meas_basis)
-    psi = outcome_counts[..., PSI_PLUS]
-    singles = outcome_counts[..., SINGLE_FIRST] \
-        + outcome_counts[..., SINGLE_SECOND]
-    key = int(psi[masks.key_candidate].sum())
-    counts = {
-        "key_candidate": key,
-        "recycled": int(singles[masks.recyclable_a
-                                | masks.recyclable_b].sum()),
-        "decoy_coincidence": int(psi[masks.same_basis].sum()) - key,
-    }
-    counts["discarded"] = int(combo_counts.sum()) - sum(counts.values())
-    return counts
+    routing = routing_matrices(classes_a, classes_b, meas_basis)
+    key, recycled, decoy = _route(outcome_counts,
+                                  routing.conservation).tolist()
+    return {"key_candidate": key, "recycled": recycled,
+            "decoy_coincidence": decoy,
+            "discarded": int(combo_counts.sum()) - key - recycled - decoy}

@@ -19,6 +19,7 @@ window's compensator state.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
 import socket
@@ -32,7 +33,8 @@ from . import engine
 from .compensation import (ControllerState, EstimatorWindow,
                            MisalignmentEstimate, ReferenceTracker,
                            control_step, estimate_theta)
-from .polarization import (DriftProcess, SqueezerBank, misalignment_angles,
+from .polarization import (DEFAULT_SQUEEZER_AXES, RETARDANCE_LIMIT,
+                           DriftProcess, SqueezerBank, misalignment_angles,
                            random_misalignment, squeezer_unitary)
 from .session import (SessionConfig, SessionError, SessionFailure,
                       SessionReport, USERS, WindowTrace, analyze_tallies,
@@ -116,6 +118,22 @@ class UserNode:
             f"{self.name} cannot handle message type {type(message).__name__}")
 
 
+def _check_retardances(message: CompensatorState) -> None:
+    """Reject a compensator state the squeezer bank could not hold."""
+    values = message.retardances
+    where = f"{message.user}'s compensator state for window {message.window}"
+    if len(values) != len(DEFAULT_SQUEEZER_AXES):
+        raise SessionFailure(
+            f"{where} holds {values!r}, expected "
+            f"{len(DEFAULT_SQUEEZER_AXES)} retardances")
+    for value in values:
+        if not (isinstance(value, (int, float)) and math.isfinite(value)
+                and abs(value) <= RETARDANCE_LIMIT):
+            raise SessionFailure(
+                f"{where} holds retardance {value!r}, outside the finite "
+                f"range +/-{RETARDANCE_LIMIT:g}")
+
+
 @dataclass
 class _WindowLedger:
     """Measurement-node bookkeeping for one window awaiting trigger flags."""
@@ -173,6 +191,7 @@ class CharlieNode:
             raise SessionFailure(
                 f"duplicate compensator state from {message.user} for "
                 f"window {message.window}")
+        _check_retardances(message)
         self._pending_states[message.user] = message
         self._record_trigger(message)
         if set(self._pending_states) != set(USERS):
@@ -205,11 +224,9 @@ class CharlieNode:
     def _run_window(self, index: int, states: dict) -> list:
         t_start, dt, meas_basis = self.windows[index]
         n_slots = self.config.slots_in(dt)
-        channels = {}
-        for user in USERS:
-            bank = SqueezerBank(retardances=np.asarray(
-                states[user].retardances, dtype=float))
-            channels[user] = self.drift[user].step(dt) @ squeezer_unitary(bank)
+        channels = {user: self.drift[user].step(dt)
+                    @ squeezer_unitary(states[user].retardances)
+                    for user in USERS}
         if self.config.sampling == "per-slot":
             combo_counts, outcome_counts, singles = self._sample_slots(
                 index, n_slots, meas_basis, channels)
@@ -360,7 +377,11 @@ class _LoopbackLink:
         self._pending = b""
 
     def send(self, message) -> None:
-        self._pending += encode_message(message)
+        try:
+            self._pending += encode_message(message)
+        except WireError as exc:
+            raise SessionFailure(f"cannot send {type(message).__name__}: "
+                                 f"{exc}") from exc
 
     def receive(self) -> list:
         data = self._pending

@@ -13,6 +13,14 @@ Conventions used throughout the package:
    arcsin(sqrt(e_z)) with e_z = |<V|U|H>|^2, and theta_x defined the same
    way from the D/A pair.  Both vanish iff U is the identity up to a
    global phase.
+
+A rotation's four entries are written in closed form from cos(r/2),
+sin(r/2) and the normalized axis; they are bit-equal to the sum
+cos(r/2) I - i sin(r/2) (n1 S1 + n2 S2 + n3 S3) formed with numpy
+(equal as numbers; the sign of a zero entry may differ).  Products of
+two matrices stay numpy `@`: the same products written in Python complex
+arithmetic differ from it in the last bit for most random matrices, and
+the drift walk and every channel would no longer match earlier runs.
 """
 
 from __future__ import annotations
@@ -34,12 +42,6 @@ JONES_STATES = {"H": STATE_H, "V": STATE_V, "D": STATE_D, "A": STATE_A,
                 "R": STATE_R, "L": STATE_L}
 
 BASIS_STATES = {"Z": ("H", "V"), "X": ("D", "A")}
-
-PAULI = np.array([
-    [[1.0, 0.0], [0.0, -1.0]],          # S1
-    [[0.0, 1.0], [1.0, 0.0]],           # S2
-    [[0.0, -1.0j], [1.0j, 0.0]],        # S3
-], dtype=complex)
 
 IDENTITY = np.eye(2, dtype=complex)
 
@@ -87,15 +89,25 @@ def require_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarra
     return matrix
 
 
-def rotation_about_stokes_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Unitary rotating the Poincare sphere by `angle` about Stokes axis `axis`."""
+def _unit_axis(axis) -> tuple:
+    """Normalized Stokes axis as three floats."""
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
+    norm = math.sqrt(axis.dot(axis))  # what np.linalg.norm computes
     if not norm > 0:
         raise PolarizationError("rotation axis must be nonzero")
-    axis = axis / norm
-    n_sigma = np.tensordot(axis, PAULI, axes=1)
-    return math.cos(angle / 2.0) * IDENTITY - 1.0j * math.sin(angle / 2.0) * n_sigma
+    return tuple((axis / norm).tolist())
+
+
+def _rotation(n1: float, n2: float, n3: float, angle: float) -> np.ndarray:
+    """cos(r/2) I - i sin(r/2) (n . sigma) for a unit axis, entry by entry."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[complex(c, -s * n1), complex(-s * n3, -s * n2)],
+                     [complex(s * n3, -s * n2), complex(c, s * n1)]])
+
+
+def rotation_about_stokes_axis(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Unitary rotating the Poincare sphere by `angle` about Stokes axis `axis`."""
+    return _rotation(*_unit_axis(axis), angle)
 
 
 def rotation_angle(unitary: np.ndarray) -> float:
@@ -172,7 +184,7 @@ class DriftProcess:
         # Uniform direction on the sphere via a normalized Gaussian triple.
         while True:
             vec = self._rng.normal(size=3)
-            norm = np.linalg.norm(vec)
+            norm = math.sqrt(vec.dot(vec))
             if norm > 1e-12:
                 return vec / norm
 
@@ -206,7 +218,7 @@ class SqueezerBank:
         self.axes = np.asarray(self.axes, dtype=float)
         if self.axes.shape != (len(self.retardances), 3):
             raise PolarizationError("axes must be one Stokes vector per squeezer")
-        if np.any(np.abs(self.retardances) > self.limit):
+        if not np.all(np.abs(self.retardances) <= self.limit):
             raise PolarizationError("initial retardance outside limit")
 
     def __len__(self) -> int:
@@ -225,9 +237,22 @@ class SqueezerBank:
         return clamped != target
 
 
-def squeezer_unitary(bank: SqueezerBank) -> np.ndarray:
-    """Composite unitary of the bank, light passing squeezer 0 first."""
-    unitary = IDENTITY.copy()
-    for axis, retardance in zip(bank.axes, bank.retardances):
-        unitary = rotation_about_stokes_axis(axis, retardance) @ unitary
+_DEFAULT_UNIT_AXES = [_unit_axis(axis) for axis in DEFAULT_SQUEEZER_AXES]
+
+
+def squeezer_unitary(bank) -> np.ndarray:
+    """Composite unitary of the bank, light passing squeezer 0 first.
+
+    `bank` is a SqueezerBank, or a sequence of retardances on
+    DEFAULT_SQUEEZER_AXES, which is how the measurement node composes
+    the retardances it receives after checking their count and range.
+    """
+    if isinstance(bank, SqueezerBank):
+        axes = [_unit_axis(axis) for axis in bank.axes]
+        retardances = bank.retardances.tolist()
+    else:
+        axes, retardances = _DEFAULT_UNIT_AXES, bank
+    unitary = IDENTITY
+    for axis, retardance in zip(axes, retardances):
+        unitary = _rotation(*axis, retardance) @ unitary
     return unitary

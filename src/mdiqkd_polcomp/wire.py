@@ -2,10 +2,11 @@
 
 Every message is one frame: a 4-byte big-endian body length followed by
 a UTF-8 JSON object with a "type" tag and protocol version "v": 1.
-JSON bodies are canonical (sorted keys, no whitespace) so that a given
-message always maps to the same bytes; the networked and in-process
-transports therefore produce identical frame streams for identical
-message sequences.
+JSON bodies are canonical (sorted keys, no whitespace, ASCII only) so
+that a given message always maps to the same bytes; the networked and
+in-process transports therefore produce identical frame streams for
+identical message sequences.  NaN and infinities are not JSON: neither
+the encoder nor the decoder accepts them.
 
 The announcement types mirror what the measurement node and the users
 tell each other: per-slot measurement results and sifting reveals, the
@@ -128,6 +129,19 @@ _FIELDS = {tag: tuple(f.name for f in fields(cls))
            for tag, cls in MESSAGE_TYPES.items()}
 
 
+# One canonical encoder and one decoder for every frame.  NaN and
+# infinities are not JSON, so both refuse them.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=True, allow_nan=False)
+
+
+def _reject_constant(token: str):
+    raise WireError(f"non-finite number {token} is not JSON")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def encode_message(message) -> bytes:
     """Serialize a message dataclass into one self-delimiting frame."""
     tag = getattr(type(message), "type_tag", None)
@@ -136,8 +150,10 @@ def encode_message(message) -> bytes:
     payload = {name: getattr(message, name) for name in _FIELDS[tag]}
     payload["type"] = tag
     payload["v"] = PROTOCOL_VERSION
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True).encode("utf-8")
+    try:
+        body = _ENCODER.encode(payload).encode("utf-8")
+    except ValueError as exc:
+        raise WireError(f"cannot encode {tag}: {exc}") from exc
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame body too large: {len(body)} bytes")
     return HEADER.pack(len(body)) + body
@@ -154,9 +170,9 @@ def decode_payload(payload: dict):
     cls = MESSAGE_TYPES.get(tag)
     if cls is None:
         raise WireError(f"unknown message type {tag!r}")
-    if "retardances" in payload:
-        payload["retardances"] = tuple(payload["retardances"])
     try:
+        if "retardances" in payload:
+            payload["retardances"] = tuple(payload["retardances"])
         return cls(**payload)
     except TypeError as exc:
         raise WireError(f"bad fields for {tag}: {exc}") from exc
@@ -190,7 +206,7 @@ class FrameDecoder:
             body = bytes(self._buffer[HEADER.size:HEADER.size + length])
             del self._buffer[:HEADER.size + length]
             try:
-                payload = json.loads(body.decode("utf-8"))
+                payload = _DECODER.decode(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise WireError(f"malformed frame body: {exc}") from exc
             self._ready.append(decode_payload(payload))

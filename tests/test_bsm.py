@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from mdiqkd_polcomp import bsm
 from mdiqkd_polcomp import polarization as pol
@@ -21,10 +21,17 @@ def test_detector_params_validation():
         bsm.DetectorParams(dark_prob=1.0)
 
 
+def _pair_probabilities(jones_a, mu_a, jones_b, mu_b, basis, params):
+    """Class probabilities of one input pair: one cell of the grid."""
+    return bsm.class_probability_grid(
+        np.asarray(jones_a)[None, :], np.array([mu_a]),
+        np.asarray(jones_b)[None, :], np.array([mu_b]), basis, params)[0, 0]
+
+
 def test_dark_only_coincidences():
     params = bsm.DetectorParams(efficiency=0.1, dark_prob=1e-3)
-    probs = bsm.class_probabilities(pol.STATE_H, 0.0, pol.STATE_H, 0.0,
-                                    "Z", params)
+    probs = _pair_probabilities(pol.STATE_H, 0.0, pol.STATE_H, 0.0,
+                                "Z", params)
     assert probs[0] == pytest.approx(1e-6, rel=1e-9)
     assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -45,7 +52,7 @@ def test_phase_average_matches_quadrature_oracle():
 
     oracle, _ = integrate.quad(coincidence, 0.0, 2.0 * math.pi, epsabs=1e-16)
     oracle /= 2.0 * math.pi
-    probs = bsm.class_probabilities(jones_a, mu_a, jones_b, mu_b, "Z", params)
+    probs = _pair_probabilities(jones_a, mu_a, jones_b, mu_b, "Z", params)
     assert probs[0] == pytest.approx(oracle, rel=1e-10)
 
 
@@ -92,6 +99,57 @@ def test_closed_form_matches_phase_grid_oracle(table, params):
             psi_omega = exact[omega_pair][0]
             assert psi_omega == pytest.approx(oracle[omega_pair][0],
                                               rel=1e-9)
+
+
+def _reference_log_i0(z):
+    q = (z / 2.0) ** 2
+    series = np.ones_like(q)
+    for k in range(12, 1, -1):
+        series = 1.0 + series * q / k ** 2
+    return np.where(z < 2.0, np.log1p(q * series),
+                    z + np.log(special.i0e(z)))
+
+
+def _reference_grid(states_a, mus_a, states_b, mus_b, basis, params):
+    """The kernel with one log I0 evaluation for the arms and one for
+    their sum, as it was before the two were joined."""
+    c0, c1 = bsm.phase_coefficients(states_a, mus_a, states_b, mus_b, basis)
+    eta = params.efficiency
+    log_i0_arms = _reference_log_i0(eta * np.abs(c1))
+    log_quiet = math.log1p(-params.dark_prob) - eta * c0 + log_i0_arms
+    log_corr = _reference_log_i0(eta * np.abs(c1.sum(axis=-1))) \
+        - log_i0_arms.sum(axis=-1)
+    log_first, log_second = log_quiet[..., 0], log_quiet[..., 1]
+    quiet_first, quiet_second = np.exp(log_first), np.exp(log_second)
+    both_quiet = quiet_first * quiet_second
+    return np.stack([
+        np.expm1(log_first) * np.expm1(log_second)
+        + both_quiet * np.expm1(log_corr),
+        -quiet_second * np.expm1(log_first + log_corr),
+        -quiet_first * np.expm1(log_second + log_corr),
+        both_quiet * np.exp(log_corr),
+    ], axis=-1)
+
+
+# The second case reaches eta |c1| >= 2, past the small-argument series.
+@pytest.mark.parametrize("mu_scale, params", [
+    (1.0, bsm.DetectorParams()),
+    (40.0, bsm.DetectorParams(efficiency=1.0)),
+])
+def test_grid_equals_two_call_reference_bit_for_bit(mu_scale, params):
+    classes = DecisionClasses.build(IntensityTable())
+    mus = classes.mean_photons * mu_scale
+    rng = np.random.default_rng(600)
+    for _ in range(100):
+        channel_a, channel_b = (
+            pol.rotation_about_stokes_axis(rng.normal(size=3),
+                                           rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(2))
+        for basis in ("Z", "X"):
+            args = (classes.states @ channel_a.T, mus,
+                    classes.states @ channel_b.T, mus, basis, params)
+            assert np.array_equal(bsm.class_probability_grid(*args),
+                                  _reference_grid(*args))
 
 
 def test_grid_probabilities_sum_to_one():
@@ -158,11 +216,14 @@ def test_monte_carlo_agrees_with_analytic():
 
 def test_basis_schedule():
     schedule = bsm.BasisSchedule(period=15.0)
-    assert schedule.basis_at(0.0) == "Z"
-    assert schedule.basis_at(14.999) == "Z"
-    assert schedule.basis_at(15.0) == "X"
+    def basis_at(t):
+        return schedule.window_basis(schedule.window_index(t))
+
+    assert basis_at(0.0) == "Z"
+    assert basis_at(14.999) == "Z"
+    assert basis_at(15.0) == "X"
     # floor(100 / 15) = 6, an even window index, so the basis is Z.
-    assert schedule.basis_at(100.0) == "Z"
+    assert basis_at(100.0) == "Z"
     assert schedule.n_windows(4 * 3600.0) == 960
     bases = [schedule.window_basis(k) for k in range(960)]
     assert bases.count("Z") == 480
@@ -170,4 +231,4 @@ def test_basis_schedule():
     with pytest.raises(bsm.BsmError):
         bsm.BasisSchedule(period=0.0)
     with pytest.raises(bsm.BsmError):
-        schedule.basis_at(-1.0)
+        schedule.window_index(-1.0)

@@ -8,6 +8,7 @@ import pytest
 
 from mdiqkd_polcomp.config import load_profile
 from mdiqkd_polcomp.decoy import (
+    TALLY_SHAPE,
     DecoyError,
     GainGrid,
     KeyRateReport,
@@ -114,31 +115,32 @@ def test_tally_rejects_inconsistent_counts():
         tallies.record("Z", "kappa", "mu", sent=1)
 
 
-def test_tally_merge_is_associative_and_commutative():
+def test_tally_array_add_matches_cell_records():
     rng = np.random.default_rng(5)
-    sets = []
+    by_cell, by_array = TallySet(), TallySet()
     for _ in range(3):
-        tallies = TallySet()
-        for basis in ("Z", "X"):
-            for ia in ("mu", "nu", "omega"):
-                for ib in ("mu", "nu", "omega"):
+        window = np.zeros(TALLY_SHAPE, dtype=np.int64)
+        for b, basis in enumerate(("Z", "X")):
+            for i, ia in enumerate(("mu", "nu", "omega")):
+                for j, ib in enumerate(("mu", "nu", "omega")):
                     sent = int(rng.integers(100, 10_000))
                     coincidences = int(rng.integers(0, sent // 10))
                     errors = int(rng.integers(0, coincidences + 1))
-                    tallies.record(basis, ia, ib, sent, coincidences, errors)
-        sets.append(tallies)
-    a, b, c = sets
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    swapped = c.merge(a).merge(b)
-    assert left.cells.keys() == right.cells.keys() == swapped.cells.keys()
-    for key in left.cells:
-        for other in (right, swapped):
-            assert left.cells[key].sent == other.cells[key].sent
-            assert left.cells[key].coincidences == other.cells[key].coincidences
-            assert left.cells[key].errors == other.cells[key].errors
-    # Merge does not mutate its operands.
-    assert a.cells[("Z", "mu", "mu")].sent < left.cells[("Z", "mu", "mu")].sent
+                    by_cell.record(basis, ia, ib, sent, coincidences, errors)
+                    window[b, i, j] = (sent, coincidences, errors)
+        by_array.add(window)
+    assert np.array_equal(by_cell.counts, by_array.counts)
+    cell = by_array.cell("X", "nu", "omega")
+    assert tuple(cell) == tuple(by_array.counts[1, 1, 2].tolist())
+    assert (cell.sent, cell.coincidences, cell.errors) == tuple(cell)
+    # A window that breaks errors <= coincidences <= sent anywhere is
+    # refused whole, and the set keeps its earlier counts.
+    before = by_array.counts.copy()
+    bad = np.zeros(TALLY_SHAPE, dtype=np.int64)
+    bad[0, 2, 1] = (0, 0, 10 ** 6)
+    with pytest.raises(DecoyError, match="errors <= coincidences <= sent"):
+        by_array.add(bad)
+    assert np.array_equal(by_array.counts, before)
 
 
 def test_tally_csv_round_trip(tmp_path):
@@ -156,11 +158,10 @@ def test_tally_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "basis,intensity_A,intensity_B,sent,coincidences,errors"
     loaded = TallySet.read_csv(path)
-    assert loaded.cells.keys() == tallies.cells.keys()
-    for key, cell in tallies.cells.items():
-        assert (loaded.cells[key].sent, loaded.cells[key].coincidences,
-                loaded.cells[key].errors) == (cell.sent, cell.coincidences,
-                                              cell.errors)
+    assert np.array_equal(loaded.counts, tallies.counts)
+    path_again = tmp_path / "again.csv"
+    loaded.write_csv(path_again)
+    assert path_again.read_bytes() == path.read_bytes()
 
 
 def test_tally_csv_rejects_bad_header_and_rows(tmp_path):

@@ -6,6 +6,7 @@ must surface as a SessionError that names its cause, in well under the
 transport's last-resort socket timeout.
 """
 
+import math
 import multiprocessing
 import os
 import socket
@@ -135,6 +136,36 @@ def test_cli_reports_an_in_process_accounting_fault_as_an_exit_code(
     assert main(["simulate", "--config", str(ini), "--sampling", "per-slot",
                  "--out", str(tmp_path / "run")]) == EXIT_SESSION
     assert "slot-level recycling disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["in-process", "networked"])
+@pytest.mark.parametrize("retardances, shown", [
+    ((7.0, 0.0, 0.0, 0.0), "holds retardance 7.0, outside"),
+    ((0.1, 0.2, 0.3), "holds (0.1, 0.2, 0.3), expected 4 retardances"),
+    # Not JSON: the user's encoder refuses it before it reaches the wire.
+    ((0.0, math.nan, 0.0, 0.0), "Out of range float"),
+], ids=["out-of-range", "three", "nan"])
+def test_cli_reports_bad_retardances_as_an_exit_code(
+        monkeypatch, tmp_path, capsys, mode, retardances, shown):
+    compensator_state = nodes.UserNode._compensator_state
+
+    def bad_state(self, window, triggered):
+        state = compensator_state(self, window, triggered)
+        if self.name == "bob" and window == 2:
+            state = CompensatorState(user="bob", window=window,
+                                     retardances=retardances)
+        return state
+
+    monkeypatch.setattr(nodes.UserNode, "_compensator_state", bad_state)
+    ini = tmp_path / "small.ini"
+    ini.write_text("[session]\nduration_s = 60\nrep_rate_hz = 100000\n",
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(ini), "--mode", mode,
+                 "--out", str(tmp_path / "run")]) == EXIT_SESSION
+    err = capsys.readouterr().err
+    assert shown in err
+    if not math.isnan(sum(retardances)):
+        assert "bob's compensator state for window 2" in err
 
 
 def test_both_ends_of_a_live_session_disable_nagle(monkeypatch, tmp_path):

@@ -178,3 +178,82 @@ def test_random_misalignment_scales_with_mean_angle():
     samples = [pol.rotation_angle(pol.random_misalignment(0.05, seed))
                for seed in range(400)]
     assert abs(float(np.mean(samples)) - 0.05) < 0.01
+
+
+# Reference Jones algebra: the rotation as the numpy sum over Pauli
+# matrices that the closed-form entries replaced, kept as their oracle.
+
+PAULI = np.array([
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+], dtype=complex)
+
+
+def _reference_rotation(axis, angle):
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    n_sigma = np.tensordot(axis, PAULI, axes=1)
+    return math.cos(angle / 2.0) * pol.IDENTITY \
+        - 1.0j * math.sin(angle / 2.0) * n_sigma
+
+
+def _reference_squeezer(axes, retardances):
+    unitary = pol.IDENTITY.copy()
+    for axis, retardance in zip(axes, retardances):
+        unitary = _reference_rotation(axis, retardance) @ unitary
+    return unitary
+
+
+def test_rotation_equals_pauli_sum_reference():
+    rng = np.random.default_rng(20_000)
+    for trial in range(4000):
+        axis = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 4 == 0:
+            axis[rng.integers(3)] = 0.0
+        angle = rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
+        assert np.array_equal(pol.rotation_about_stokes_axis(axis, angle),
+                              _reference_rotation(axis, angle))
+    with pytest.raises(pol.PolarizationError):
+        pol.rotation_about_stokes_axis([0.0, 0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("axes", [
+    pol.DEFAULT_SQUEEZER_AXES,
+    pol.DEFAULT_SQUEEZER_AXES[[1, 0, 3, 2]],
+    np.array([[0.3, -1.0, 0.2], [0.0, 0.0, 2.0], [1.0, 1.0, 0.0],
+              [-0.5, 0.1, 0.7]]),
+])
+def test_squeezer_unitary_equals_reference(axes):
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        retardances = rng.uniform(-pol.RETARDANCE_LIMIT, pol.RETARDANCE_LIMIT,
+                                  size=4)
+        expected = _reference_squeezer(axes, retardances)
+        bank = pol.SqueezerBank(retardances=retardances, axes=axes)
+        assert np.array_equal(pol.squeezer_unitary(bank), expected)
+        if axes is pol.DEFAULT_SQUEEZER_AXES:
+            # The measurement node passes the wire retardances directly.
+            assert np.array_equal(
+                pol.squeezer_unitary(tuple(retardances.tolist())), expected)
+
+
+def test_drift_step_equals_reference_walk():
+    rate, seed = 0.003, [7, 0xA1]
+    initial = pol.random_misalignment(0.1, seed=3)
+    drift = pol.DriftProcess(rate, seed=seed, initial=initial)
+    rng = np.random.default_rng(seed)
+    unitary = initial
+    for dt in [15.0] * 300 + [0.0, 1.0, 225.0]:
+        sigma = rate * math.sqrt(dt) * math.sqrt(math.pi / 2.0)
+        angle = abs(rng.normal(0.0, sigma)) if sigma > 0 else 0.0
+        vec = rng.normal(size=3)
+        axis = vec / np.linalg.norm(vec)
+        unitary = _reference_rotation(axis, angle) @ unitary
+        assert np.array_equal(drift.step(dt), unitary)
+
+
+def test_squeezer_bank_rejects_non_finite_retardance():
+    for value in (math.nan, math.inf, 7.0):
+        with pytest.raises(pol.PolarizationError):
+            pol.SqueezerBank(retardances=[value, 0.0, 0.0, 0.0])

@@ -1,5 +1,6 @@
 """Session orchestration: protocol rules, transports, and closed loop."""
 
+import math
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -13,9 +14,10 @@ from mdiqkd_polcomp.bsm import (OUTCOME_CLASSES, BasisSchedule,
                                 DetectorParams, phase_coefficients)
 from mdiqkd_polcomp.compensation import ControllerConfig
 from mdiqkd_polcomp.nodes import CharlieNode, UserNode, run_in_process
-from mdiqkd_polcomp.polarization import rotation_about_stokes_axis
+from mdiqkd_polcomp.polarization import (RETARDANCE_LIMIT,
+                                         rotation_about_stokes_axis)
 from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
-                                    recycle_singles, run_session,
+                                    SessionFailure, recycle_singles, run_session,
                                     sample_window_slots, sift, user_reveals)
 from mdiqkd_polcomp.transmitter import (_DECISION_STREAM, BASIS_LABELS,
                                         INTENSITY_LABELS, IntensityTable,
@@ -189,6 +191,27 @@ def test_charlie_rejects_wrong_window_and_duplicates():
         charlie.handle(ok)
 
 
+@pytest.mark.parametrize("retardances, shown", [
+    ((7.0, 0.0, 0.0, 0.0), "retardance 7.0"),
+    ((0.0, math.inf, 0.0, 0.0), "retardance inf"),
+    ((0.0, 0.0, -math.inf, 0.0), "retardance -inf"),
+    ((0.0, 0.0, 0.0, math.nan), "retardance nan"),
+    ((0.0, 0.0, 0.0), "(0.0, 0.0, 0.0), expected 4 retardances"),
+    ((0.0,) * 5, "expected 4 retardances"),
+], ids=["7", "inf", "-inf", "nan", "three", "five"])
+def test_charlie_rejects_retardances_the_bank_cannot_hold(retardances, shown):
+    charlie = CharlieNode(small_config())
+    limit = RETARDANCE_LIMIT
+    assert charlie.handle(CompensatorState(
+        user="alice", window=0, retardances=(limit, -limit, 0.0, 0.0))) == []
+    with pytest.raises(SessionFailure) as info:
+        charlie.handle(CompensatorState(user="bob", window=0,
+                                        retardances=retardances))
+    message = str(info.value)
+    assert "bob's compensator state for window 0" in message
+    assert shown in message
+
+
 def test_user_node_steps_on_coherent_estimates_only():
     z_ann = MisalignmentAnnouncement(user="alice", window=0, theta_z=0.5,
                                      theta_x=None)
@@ -229,8 +252,7 @@ def canonical(report) -> dict:
         windows=[(t.index, t.t_start, t.duration, t.meas_basis, t.n_slots,
                   t.est_theta, t.true_theta, t.estimator_counts, t.triggered,
                   t.counts) for t in report.windows],
-        tallies={half: sorted((key, c.sent, c.coincidences, c.errors)
-                              for key, c in ts.cells.items())
+        tallies={half: ts.counts.tolist()
                  for half, ts in report.tallies.items()},
         sifted={half: (s.n_sifted, s.n_errors)
                 for half, s in report.sifted.items()},

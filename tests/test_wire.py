@@ -151,6 +151,9 @@ def test_missing_version_rejected():
 def test_bad_fields_rejected():
     with pytest.raises(WireError, match="bad fields for session_end"):
         decode_payload({"type": "session_end", "v": 1, "bogus": 3})
+    with pytest.raises(WireError, match="bad fields for compensator_state"):
+        decode_payload({"type": "compensator_state", "v": 1, "user": "bob",
+                        "window": 0, "retardances": 5})
 
 
 def test_non_object_body_rejected():
@@ -168,3 +171,33 @@ def test_oversized_frame_length_rejected():
     huge = struct.pack(">I", wire.MAX_FRAME_BYTES + 1)
     with pytest.raises(WireError, match="exceeds limit"):
         decoder.feed(huge + b"xxxx")
+
+
+@pytest.mark.parametrize("message", EXAMPLES, ids=lambda m: type(m).__name__)
+def test_valid_frames_keep_their_json_dumps_bytes(message):
+    body = encode_message(message)[4:]
+    payload = json.loads(body)
+    assert body == json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=True).encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_encode_rejects_non_finite_floats(value):
+    with pytest.raises(WireError, match="cannot encode misalignment"):
+        encode_message(MisalignmentAnnouncement(user="alice", window=1,
+                                                theta_z=value, theta_x=None))
+    with pytest.raises(WireError, match="cannot encode compensator_state"):
+        encode_message(CompensatorState(user="bob", window=0,
+                                        retardances=(0.0, value, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_decoder_rejects_non_finite_tokens_then_resyncs(token):
+    body = ('{"theta_x":null,"theta_z":' + token + ',"type":"misalignment",'
+            '"user":"alice","v":1,"window":1}').encode()
+    bad = struct.pack(">I", len(body)) + body
+    decoder = FrameDecoder()
+    with pytest.raises(WireError, match=f"non-finite number {token}"):
+        decoder.feed(bad + encode_message(SessionEnd()))
+    assert decoder.feed(b"") == [SessionEnd()]

@@ -17,9 +17,10 @@ therefore exact multinomials:
 
 The basis, bit and intensity rules that route those counts (tally
 cells, key candidates, recyclable singles) are stated once, as boolean
-masks over the decision pairs (pair_masks).  From the masks follow 0/1
-routing matrices (routing_matrices), so each piece of window
-bookkeeping is one matrix product of the flattened outcome counts.
+masks over the decision pairs (pair_masks).  From the masks follows one
+0/1 routing matrix (routing_matrix), so a window's whole bookkeeping
+(tallies, both senders' recycled singles, conservation classes) is one
+matrix product of the flattened outcome counts (route_window).
 
 Aggregating those counts reproduces the exact joint distribution of
 every quantity the session tracks (tallies, estimator counts,
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bsm import DetectorParams, class_probability_grid
-from .decoy import TALLY_SHAPE, TallySet
+from .decoy import TALLY_SHAPE
 from .polarization import BASIS_STATES, bb84_state
 from .transmitter import BASIS_LABELS, INTENSITY_LABELS, IntensityTable
 
@@ -153,6 +154,18 @@ def pair_masks(classes_a: DecisionClasses, classes_b: DecisionClasses,
     return masks
 
 
+@lru_cache(maxsize=16)
+def _joint_probabilities(classes_a: DecisionClasses,
+                         classes_b: DecisionClasses) -> np.ndarray:
+    """Flattened (12 * 12) probabilities of the joint decision classes.
+
+    Cached per (classes_a, classes_b) and therefore read-only.
+    """
+    joint = np.outer(classes_a.probabilities, classes_b.probabilities).ravel()
+    joint.flags.writeable = False
+    return joint
+
+
 def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
                          classes_b: DecisionClasses,
                          class_probs: np.ndarray,
@@ -164,39 +177,31 @@ def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
     """
     if n_slots < 0:
         raise EngineError("slot count must be nonnegative")
-    n_a, n_b = len(classes_a), len(classes_b)
-    joint = np.outer(classes_a.probabilities, classes_b.probabilities).ravel()
-    combo_counts = rng.multinomial(n_slots, joint).reshape(n_a, n_b)
+    joint = _joint_probabilities(classes_a, classes_b)
+    combo_counts = rng.multinomial(n_slots, joint).reshape(len(classes_a),
+                                                           len(classes_b))
     # Broadcast over the combinations in row-major order.  An empty
     # combination draws no random numbers, so the stream equals one
     # draw per occupied combination.
     return combo_counts, rng.multinomial(combo_counts, class_probs)
 
 
-class RoutingMatrices(NamedTuple):
-    """0/1 float64 matrices that route a window's outcome counts.
-
-    Each has one row per entry of the flattened (12, 12, 4)
-    outcome_counts:
-    tallies: TALLY_SHAPE columns, flattened; sent, coincidences and
-      errors per (preparation basis, intensity A, intensity B) cell.
-    singles_a, singles_b: (n_wrong, n_total) for the measured basis'
-      bit-0 state, then the same for its bit-1 state.
-    conservation: key_candidate, recycled and decoy_coincidence.
-    """
-
-    tallies: np.ndarray
-    singles_a: np.ndarray
-    singles_b: np.ndarray
-    conservation: np.ndarray
+_TALLY_COLUMNS = math.prod(TALLY_SHAPE)
 
 
 @lru_cache(maxsize=16)
-def routing_matrices(classes_a: DecisionClasses, classes_b: DecisionClasses,
-                     meas_basis: str) -> RoutingMatrices:
-    """The pair_masks rules as RoutingMatrices, cached on the same key.
+def routing_matrix(classes_a: DecisionClasses, classes_b: DecisionClasses,
+                   meas_basis: str) -> np.ndarray:
+    """The pair_masks rules as one 0/1 float64 matrix, cached on their key.
 
-    Every column is a boolean mask over (class A, class B, outcome).
+    One row per entry of the flattened (12, 12, 4) outcome_counts; every
+    column is a boolean mask over (class A, class B, outcome).  The
+    columns, left to right:
+    tallies: TALLY_SHAPE flattened; sent, coincidences and errors per
+      (preparation basis, intensity A, intensity B) cell.
+    singles of sender A, then of sender B: (n_wrong, n_total) for the
+      measured basis' bit-0 state, then the same for its bit-1 state.
+    conservation: key_candidate, recycled and decoy_coincidence.
     """
     masks = pair_masks(classes_a, classes_b, meas_basis)
     outcome = np.arange(N_OUTCOME_CLASSES)
@@ -224,21 +229,19 @@ def routing_matrices(classes_a: DecisionClasses, classes_b: DecisionClasses,
             columns += [own & (outcome == SINGLE_SECOND - bit), own & single]
         return np.stack(columns, axis=-1)
 
-    routing = RoutingMatrices(
-        tallies=tallies,
-        singles_a=singles(masks.recyclable_a, classes_a.bits[:, None]),
-        singles_b=singles(masks.recyclable_b, classes_b.bits[None, :]),
-        conservation=np.stack([
-            masks.key_candidate[..., None] & psi,
-            (masks.recyclable_a | masks.recyclable_b)[..., None] & single,
-            (masks.same_basis & ~masks.key_candidate)[..., None] & psi,
-        ], axis=-1))
+    conservation = np.stack([
+        masks.key_candidate[..., None] & psi,
+        (masks.recyclable_a | masks.recyclable_b)[..., None] & single,
+        (masks.same_basis & ~masks.key_candidate)[..., None] & psi,
+    ], axis=-1)
     n_rows = len(classes_a) * len(classes_b) * N_OUTCOME_CLASSES
-    routing = RoutingMatrices(*(matrix.reshape(n_rows, -1).astype(np.float64)
-                                for matrix in routing))
-    for matrix in routing:
-        matrix.flags.writeable = False
-    return routing
+    matrix = np.concatenate([
+        part.reshape(n_rows, -1) for part in (
+            tallies, singles(masks.recyclable_a, classes_a.bits[:, None]),
+            singles(masks.recyclable_b, classes_b.bits[None, :]),
+            conservation)], axis=1).astype(np.float64)
+    matrix.flags.writeable = False
+    return matrix
 
 
 # A float64 sum of nonnegative integers is exact, in any order, while the
@@ -246,57 +249,36 @@ def routing_matrices(classes_a: DecisionClasses, classes_b: DecisionClasses,
 _EXACT_FLOAT_SUM = 2 ** 53
 
 
-def _route(outcome_counts: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Integer sums of outcome_counts along the columns of a routing matrix."""
-    sums = outcome_counts.reshape(-1).astype(np.float64) @ matrix
-    # Rounding is monotone, so an inexact sum shows as one at 2**53 or more.
-    if sums.max() >= _EXACT_FLOAT_SUM:
-        raise EngineError("window counts too large to route exactly")
-    return sums.astype(np.int64)
+class WindowRoutes(NamedTuple):
+    """One window's outcome counts routed to everything the session keeps.
 
-
-def accumulate_tallies(tallies: TallySet, classes_a: DecisionClasses,
-                       classes_b: DecisionClasses, meas_basis: str,
-                       combo_counts: np.ndarray,
-                       outcome_counts: np.ndarray) -> None:
-    """Fold one window's same-basis pair counts into a TallySet.
-
-    Coincidences on a both-click pair are erroneous when the bits match
-    in the measurement basis or differ in its conjugate.  A pair's slot
-    count is the sum of its outcome counts, so combo_counts is implied.
+    tallies: int64 counts of TALLY_SHAPE, to add to the window's TallySet.
+    singles_a, singles_b: each sender's estimator inputs from its
+      partner-vacuum singles, {state label: (n_wrong, n_total)}.
+    conservation: slot count per CONSERVATION_CLASSES entry.
     """
-    routing = routing_matrices(classes_a, classes_b, meas_basis)
-    tallies.add(_route(outcome_counts, routing.tallies).reshape(TALLY_SHAPE))
+
+    tallies: np.ndarray
+    singles_a: dict
+    singles_b: dict
+    conservation: dict
 
 
-def recycled_singles(classes_a: DecisionClasses, classes_b: DecisionClasses,
-                     meas_basis: str, outcome_counts: np.ndarray,
-                     sender: str) -> dict:
-    """Estimator inputs from one window's partner-vacuum singles.
+def route_window(classes_a: DecisionClasses, classes_b: DecisionClasses,
+                 meas_basis: str, outcome_counts: np.ndarray) -> WindowRoutes:
+    """Route one window's (12, 12, 4) outcome counts with one product.
 
-    For the chosen sender, every slot where the partner sent the
+    Tallies: every same-basis pair counts as sent; its both-clicks are
+    coincidences, erroneous when the bits match in the measurement basis
+    or differ in its conjugate.
+
+    Singles: for each sender, every slot where the partner sent the
     near-vacuum intensity and exactly one detector clicked attributes
     the click to the sender's transmitted state.  Only states prepared
     in the measured basis carry alignment information; the wrong-arm
-    single for bit 0 is the second arm and vice versa.  Returns
-    {state label: (n_wrong, n_total)}.
-    """
-    if sender not in ("A", "B"):
-        raise EngineError(f"sender must be 'A' or 'B', got {sender!r}")
-    routing = routing_matrices(classes_a, classes_b, meas_basis)
-    wrong_0, total_0, wrong_1, total_1 = _route(
-        outcome_counts,
-        routing.singles_a if sender == "A" else routing.singles_b).tolist()
-    labels = BASIS_STATES[meas_basis]
-    return {labels[0]: (wrong_0, total_0), labels[1]: (wrong_1, total_1)}
+    single for bit 0 is the second arm and vice versa.
 
-
-def conservation_counts(classes_a: DecisionClasses,
-                        classes_b: DecisionClasses, meas_basis: str,
-                        combo_counts: np.ndarray,
-                        outcome_counts: np.ndarray) -> dict:
-    """Classify every slot exactly once; the classes partition the window.
-
+    Conservation classifies every slot exactly once:
     key_candidate: both-click, both senders in the measured basis at
       signal intensity (the sifted-key source).
     recycled: single click with exactly one near-vacuum sender whose
@@ -305,9 +287,21 @@ def conservation_counts(classes_a: DecisionClasses,
       basis (feeds the tallies only).
     discarded: everything else, including all no-click slots.
     """
-    routing = routing_matrices(classes_a, classes_b, meas_basis)
-    key, recycled, decoy = _route(outcome_counts,
-                                  routing.conservation).tolist()
-    return {"key_candidate": key, "recycled": recycled,
-            "decoy_coincidence": decoy,
-            "discarded": int(combo_counts.sum()) - key - recycled - decoy}
+    total = int(outcome_counts.sum())
+    # Every column sums a subset of the window's counts.
+    if total >= _EXACT_FLOAT_SUM:
+        raise EngineError("window counts too large to route exactly")
+    sums = (outcome_counts.reshape(-1).astype(np.float64)
+            @ routing_matrix(classes_a, classes_b, meas_basis)).astype(np.int64)
+    (wrong_a0, total_a0, wrong_a1, total_a1, wrong_b0, total_b0, wrong_b1,
+     total_b1, key, recycled, decoy) = sums[_TALLY_COLUMNS:].tolist()
+    labels = BASIS_STATES[meas_basis]
+    return WindowRoutes(
+        tallies=sums[:_TALLY_COLUMNS].reshape(TALLY_SHAPE),
+        singles_a={labels[0]: (wrong_a0, total_a0),
+                   labels[1]: (wrong_a1, total_a1)},
+        singles_b={labels[0]: (wrong_b0, total_b0),
+                   labels[1]: (wrong_b1, total_b1)},
+        conservation={"key_candidate": key, "recycled": recycled,
+                      "decoy_coincidence": decoy,
+                      "discarded": total - key - recycled - decoy})

@@ -12,9 +12,10 @@ reports for identical configurations.
 
 Per window the exchange is: each user sends its compensator state, the
 measurement node simulates the window under the resulting channels and
-replies with a misalignment announcement plus a bookkeeping summary,
-and each user runs its local control step, which becomes the next
-window's compensator state.
+replies with a misalignment announcement, and each user runs its local
+control step, which becomes the next window's compensator state.  The
+window's bookkeeping (tallies, conservation classes) stays at the
+measurement node, which writes it into the session report.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import socket
+import struct
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -42,13 +44,14 @@ from .session import (SessionConfig, SessionError, SessionFailure,
                       summarize_sifted, user_reveals)
 from .decoy import TallySet
 from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
-                   SessionEnd, WindowSummary, WireError, encode_message)
+                   SessionEnd, WireError, encode_message)
 
 SOCKET_TIMEOUT_S = 60.0
 
 # Slots the per-slot backend samples per call.  Its memory grows with
-# this, not with the window.  On 1.2e7 slots 2^16 and 2^18 both took
-# 0.70 s at 44 and 52 MB peak RSS, and 2^20 took 0.85 s at 87 MB.
+# this, not with the window.  On 1.2e7 slots (2e5 Hz for 60 s, median of
+# three runs on a 2-core Intel Xeon, Python 3.11, numpy 2.4) 2^16 took
+# 0.79 s at 45 MB peak RSS, 2^18 0.64 s at 53 MB and 2^20 0.71 s at 88 MB.
 SLOT_CHUNK = 1 << 18
 
 # Seed-stream tags keep the independent random streams decoupled while
@@ -58,6 +61,10 @@ _STREAM_INIT_B = 0xB0
 _STREAM_DRIFT_A = 0xA1
 _STREAM_DRIFT_B = 0xB1
 _STREAM_SAMPLER = 0xC0
+
+# Checked retardances as the key of a cached squeezer unitary.  The
+# bytes tell -0.0 from 0.0, whose unitaries differ in the sign of a zero.
+_RETARDANCE_KEY = struct.Struct(f"<{len(DEFAULT_SQUEEZER_AXES)}d")
 
 
 class UserNode:
@@ -76,8 +83,7 @@ class UserNode:
 
     def _compensator_state(self, window: int, triggered: bool) -> CompensatorState:
         return CompensatorState(user=self.name, window=window,
-                                retardances=tuple(float(r)
-                                                  for r in self.bank.retardances),
+                                retardances=tuple(self.bank.retardances.tolist()),
                                 triggered=triggered)
 
     def initial_message(self) -> CompensatorState:
@@ -109,8 +115,6 @@ class UserNode:
                 triggered = record is not None
                 self._fresh = {"Z": False, "X": False}
             return [self._compensator_state(message.window + 1, triggered)]
-        if isinstance(message, WindowSummary):
-            return []
         if isinstance(message, SessionEnd):
             self.finished = True
             return []
@@ -127,8 +131,10 @@ def _check_retardances(message: CompensatorState) -> None:
             f"{where} holds {values!r}, expected "
             f"{len(DEFAULT_SQUEEZER_AXES)} retardances")
     for value in values:
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and abs(value) <= RETARDANCE_LIMIT):
+        # bool is an int subclass, so a JSON true would pass as 1.
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (math.isfinite(value)
+                        and abs(value) <= RETARDANCE_LIMIT)):
             raise SessionFailure(
                 f"{where} holds retardance {value!r}, outside the finite "
                 f"range +/-{RETARDANCE_LIMIT:g}")
@@ -168,6 +174,8 @@ class CharlieNode:
         self.trackers = {user: ReferenceTracker(
             smoothing=config.reference_smoothing) for user in USERS}
         self.tallies = {"Z": TallySet(), "X": TallySet()}
+        # user -> (retardance key, read-only squeezer unitary)
+        self._squeezers: dict = {}
         self.traces: list = []
         self._ledgers: dict = {}
         self._pending_states: dict = {}
@@ -221,40 +229,43 @@ class CharlieNode:
 
     # -- physics -----------------------------------------------------------
 
+    def _squeezer(self, state: CompensatorState) -> np.ndarray:
+        """The user's squeezer unitary, rebuilt only when its retardances change."""
+        key = _RETARDANCE_KEY.pack(*state.retardances)
+        cached = self._squeezers.get(state.user)
+        if cached is None or cached[0] != key:
+            unitary = squeezer_unitary(state.retardances)
+            unitary.flags.writeable = False
+            cached = self._squeezers[state.user] = (key, unitary)
+        return cached[1]
+
     def _run_window(self, index: int, states: dict) -> list:
         t_start, dt, meas_basis = self.windows[index]
         n_slots = self.config.slots_in(dt)
         channels = {user: self.drift[user].step(dt)
-                    @ squeezer_unitary(states[user].retardances)
-                    for user in USERS}
+                    @ self._squeezer(states[user]) for user in USERS}
         if self.config.sampling == "per-slot":
-            combo_counts, outcome_counts, singles = self._sample_slots(
-                index, n_slots, meas_basis, channels)
+            routes = self._sample_slots(index, n_slots, meas_basis, channels)
         else:
             class_probs = engine.window_class_probabilities(
                 self.classes["alice"], self.classes["bob"],
                 channels["alice"], channels["bob"], meas_basis,
                 self.config.detector)
-            combo_counts, outcome_counts = engine.sample_window_counts(
+            _, outcome_counts = engine.sample_window_counts(
                 n_slots, self.classes["alice"], self.classes["bob"],
                 class_probs, self.rng)
-            singles = {
-                user: engine.recycled_singles(
-                    self.classes["alice"], self.classes["bob"], meas_basis,
-                    outcome_counts, "A" if user == "alice" else "B")
-                for user in USERS}
-        engine.accumulate_tallies(self.tallies[meas_basis],
-                                  self.classes["alice"], self.classes["bob"],
-                                  meas_basis, combo_counts, outcome_counts)
-        counts = engine.conservation_counts(
-            self.classes["alice"], self.classes["bob"], meas_basis,
-            combo_counts, outcome_counts)
+            routes = engine.route_window(self.classes["alice"],
+                                         self.classes["bob"], meas_basis,
+                                         outcome_counts)
+        self.tallies[meas_basis].add(routes.tallies)
+        counts = routes.conservation
         total = sum(counts.values())
         if total != n_slots:
             raise SessionFailure(
                 f"window {index} accounting violation: conservation classes "
                 f"sum to {total}, expected {n_slots}")
 
+        singles = dict(zip(USERS, (routes.singles_a, routes.singles_b)))
         est_theta = {}
         estimator_counts = {}
         out = []
@@ -272,21 +283,17 @@ class CharlieNode:
                 user=user, window=index,
                 theta_z=theta if meas_basis == "Z" else None,
                 theta_x=theta if meas_basis == "X" else None)))
-        summary = WindowSummary(window=index, meas_basis=meas_basis,
-                                counts={k: int(v) for k, v in counts.items()})
-        out.extend((user, summary) for user in USERS)
 
         true_theta = {user: misalignment_angles(channels[user])
                       for user in USERS}
         self._ledgers[index] = _WindowLedger(trace_fields=dict(
             index=index, t_start=t_start, duration=dt, meas_basis=meas_basis,
             n_slots=n_slots, est_theta=est_theta, true_theta=true_theta,
-            estimator_counts=estimator_counts,
-            counts={k: int(v) for k, v in counts.items()}))
+            estimator_counts=estimator_counts, counts=counts))
         return out
 
     def _sample_slots(self, index: int, n_slots: int, meas_basis: str,
-                      channels: dict):
+                      channels: dict) -> engine.WindowRoutes:
         """Per-slot backend: the protocol on slot columns plus cross-checks.
 
         The window is sampled in chunks of SLOT_CHUNK slots.  Each chunk's
@@ -321,27 +328,23 @@ class CharlieNode:
                 raise SessionFailure(
                     f"window {index}: privacy violation - revealed bits "
                     "overlap the sifted key")
-        combo_counts = outcome_counts.sum(axis=2)
-        singles = {}
-        for user, sender in (("alice", "A"), ("bob", "B")):
-            singles[user] = engine.recycled_singles(
-                self.classes["alice"], self.classes["bob"], meas_basis,
-                outcome_counts, sender)
+        routes = engine.route_window(self.classes["alice"],
+                                     self.classes["bob"], meas_basis,
+                                     outcome_counts)
+        for user, singles in zip(USERS, (routes.singles_a, routes.singles_b)):
             # The slot-level route lists only the labels it saw.
-            seen = {label: counts for label, counts in singles[user].items()
+            seen = {label: counts for label, counts in singles.items()
                     if counts[1]}
             if seen != slot_singles[user]:
                 raise SessionFailure(
                     f"window {index}: slot-level recycling disagrees with "
                     f"aggregate counts for {user}")
-        key_candidates = engine.conservation_counts(
-            self.classes["alice"], self.classes["bob"], meas_basis,
-            combo_counts, outcome_counts)["key_candidate"]
+        key_candidates = routes.conservation["key_candidate"]
         if n_sifted != key_candidates:
             raise SessionFailure(
                 f"window {index}: sifted slot count {n_sifted} "
                 f"disagrees with accounting ({key_candidates})")
-        return combo_counts, outcome_counts, singles
+        return routes
 
     # -- completion ----------------------------------------------------------
 

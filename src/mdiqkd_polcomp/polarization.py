@@ -43,6 +43,10 @@ JONES_STATES = {"H": STATE_H, "V": STATE_V, "D": STATE_D, "A": STATE_A,
 
 BASIS_STATES = {"Z": ("H", "V"), "X": ("D", "A")}
 
+# Bras of the leakage ports that basis_error_rates projects onto.
+_BRA_V = STATE_V.conj()
+_BRA_A = STATE_A.conj()
+
 IDENTITY = np.eye(2, dtype=complex)
 
 UNITARITY_TOL = 1e-10
@@ -125,8 +129,8 @@ def basis_error_rates(unitary: np.ndarray) -> tuple[float, float]:
     onto V; e_x the same for the D/A pair.
     """
     unitary = np.asarray(unitary, dtype=complex)
-    e_z = abs(STATE_V.conj() @ (unitary @ STATE_H)) ** 2
-    e_x = abs(STATE_A.conj() @ (unitary @ STATE_D)) ** 2
+    e_z = abs(_BRA_V @ (unitary @ STATE_H)) ** 2
+    e_x = abs(_BRA_A @ (unitary @ STATE_D)) ** 2
     return float(min(e_z, 1.0)), float(min(e_x, 1.0))
 
 

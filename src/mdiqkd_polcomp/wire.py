@@ -9,10 +9,13 @@ identical message sequences.  NaN and infinities are not JSON: neither
 the encoder nor the decoder accepts them.
 
 The announcement types mirror what the measurement node and the users
-tell each other: per-slot measurement results and sifting reveals, the
-per-window misalignment estimates, plus the session-plumbing frames
-(compensator state, window summaries) that stand in for the physical
-light path in a simulation.
+tell each other: per-slot measurement results and sifting reveals and
+the per-window misalignment estimates.  The compensator state stands in
+for the physical light path in a simulation, and the session end closes
+the stream.  Per window a session sends one compensator state from each
+user and one misalignment announcement to each.  WindowSummary is a
+valid frame that no node sends: the measurement node keeps its
+bookkeeping in its own report.
 
 A decoder consumes a byte stream incrementally: truncated frames wait
 for more bytes, and a frame whose body fails to parse raises but leaves

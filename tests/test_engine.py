@@ -8,8 +8,7 @@ from mdiqkd_polcomp.bsm import DetectorParams, class_probability_grid
 from mdiqkd_polcomp.decoy import TALLY_SHAPE, TallySet
 from mdiqkd_polcomp.engine import (DecisionClasses, EngineError,
                                    PSI_PLUS, SINGLE_FIRST, SINGLE_SECOND,
-                                   accumulate_tallies, conservation_counts,
-                                   pair_masks, recycled_singles,
+                                   pair_masks, route_window,
                                    sample_window_counts,
                                    window_class_probabilities)
 from mdiqkd_polcomp.polarization import BASIS_STATES
@@ -134,55 +133,58 @@ def test_negative_slot_count_rejected():
 
 def _single_combo_outcomes(i: int, j: int, psi: int = 0, first: int = 0,
                            second: int = 0, none: int = 0):
-    combo = np.zeros((12, 12), dtype=np.int64)
     outcomes = np.zeros((12, 12, 4), dtype=np.int64)
-    combo[i, j] = psi + first + second + none
     outcomes[i, j] = [psi, first, second, none]
-    return combo, outcomes
+    return outcomes
+
+
+def _tallies(classes, meas_basis, outcomes):
+    tallies = TallySet()
+    tallies.add(route_window(classes, classes, meas_basis, outcomes).tallies)
+    return tallies
+
+
+def _singles(classes, meas_basis, outcomes, sender):
+    routes = route_window(classes, classes, meas_basis, outcomes)
+    return routes.singles_a if sender == "A" else routes.singles_b
+
+
+def _conservation(classes, meas_basis, outcomes):
+    return route_window(classes, classes, meas_basis, outcomes).conservation
 
 
 def test_tally_error_convention_matched_basis():
     classes = DecisionClasses.build(TABLE)
-    tallies = TallySet()
     # Matched basis: anticorrelated bits are correct, equal bits are errors.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 1, "mu"), psi=5, none=5)
-    accumulate_tallies(tallies, classes, classes, "Z", combo, outcomes)
-    cell = tallies.cell("Z", "mu", "mu")
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"), idx("Z", 1, "mu"),
+                                      psi=5, none=5)
+    cell = _tallies(classes, "Z", outcomes).cell("Z", "mu", "mu")
     assert (cell.sent, cell.coincidences, cell.errors) == (10, 5, 0)
 
-    tallies = TallySet()
-    combo, outcomes = _single_combo_outcomes(idx("Z", 1, "nu"),
-                                             idx("Z", 1, "mu"), psi=4, none=1)
-    accumulate_tallies(tallies, classes, classes, "Z", combo, outcomes)
-    cell = tallies.cell("Z", "nu", "mu")
+    outcomes = _single_combo_outcomes(idx("Z", 1, "nu"), idx("Z", 1, "mu"),
+                                      psi=4, none=1)
+    cell = _tallies(classes, "Z", outcomes).cell("Z", "nu", "mu")
     assert (cell.sent, cell.coincidences, cell.errors) == (5, 4, 4)
 
 
 def test_tally_error_convention_conjugate_basis():
     classes = DecisionClasses.build(TABLE)
     # Z-prepared pairs measured in X: correlated bits are correct.
-    tallies = TallySet()
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 0, "mu"), psi=7)
-    accumulate_tallies(tallies, classes, classes, "X", combo, outcomes)
-    cell = tallies.cell("Z", "mu", "mu")
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"), idx("Z", 0, "mu"),
+                                      psi=7)
+    cell = _tallies(classes, "X", outcomes).cell("Z", "mu", "mu")
     assert (cell.sent, cell.coincidences, cell.errors) == (7, 7, 0)
 
-    tallies = TallySet()
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 1, "mu"), psi=3)
-    accumulate_tallies(tallies, classes, classes, "X", combo, outcomes)
-    assert tallies.cell("Z", "mu", "mu").errors == 3
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"), idx("Z", 1, "mu"),
+                                      psi=3)
+    assert _tallies(classes, "X", outcomes).cell("Z", "mu", "mu").errors == 3
 
 
 def test_tally_ignores_cross_basis_pairs():
     classes = DecisionClasses.build(TABLE)
-    tallies = TallySet()
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("X", 0, "mu"), psi=9)
-    accumulate_tallies(tallies, classes, classes, "Z", combo, outcomes)
-    assert not tallies.counts.any()
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"), idx("X", 0, "mu"),
+                                      psi=9)
+    assert not _tallies(classes, "Z", outcomes).counts.any()
 
 
 def test_tallies_match_independent_recount_on_sampled_window():
@@ -192,8 +194,7 @@ def test_tallies_match_independent_recount_on_sampled_window():
                                        "Z", PARAMS)
     combo, outcomes = sample_window_counts(500_000, classes, classes, probs,
                                            np.random.default_rng(11))
-    tallies = TallySet()
-    accumulate_tallies(tallies, classes, classes, "Z", combo, outcomes)
+    tallies = _tallies(classes, "Z", outcomes)
     # Straight recount over the 144 combos with the correctness rule.
     for basis in BASIS_LABELS:
         for ia in INTENSITY_LABELS:
@@ -217,53 +218,46 @@ def test_recycled_singles_wrong_arm_attribution():
     classes = DecisionClasses.build(TABLE)
     # Sender A transmits H (Z, bit 0) at signal strength while B sends
     # near-vacuum: a second-arm single is a wrong-arm event for H.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 0, "omega"),
-                                             first=30, second=12, none=100)
-    counts = recycled_singles(classes, classes, "Z", outcomes, "A")
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
+                                      idx("Z", 0, "omega"),
+                                      first=30, second=12, none=100)
+    counts = _singles(classes, "Z", outcomes, "A")
     assert counts["H"] == (12, 42)
     assert counts["V"] == (0, 0)
     # For bit 1 (V) the first arm is the wrong one.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 1, "nu"),
-                                             idx("X", 1, "omega"),
-                                             first=4, second=9)
-    counts = recycled_singles(classes, classes, "Z", outcomes, "A")
+    outcomes = _single_combo_outcomes(idx("Z", 1, "nu"),
+                                      idx("X", 1, "omega"),
+                                      first=4, second=9)
+    counts = _singles(classes, "Z", outcomes, "A")
     assert counts["V"] == (4, 13)
 
 
 def test_recycled_singles_sender_b_uses_transposed_grid():
     classes = DecisionClasses.build(TABLE)
-    combo, outcomes = _single_combo_outcomes(idx("X", 0, "omega"),
-                                             idx("X", 0, "mu"),
-                                             first=21, second=6)
-    counts = recycled_singles(classes, classes, "X", outcomes, "B")
+    outcomes = _single_combo_outcomes(idx("X", 0, "omega"),
+                                      idx("X", 0, "mu"),
+                                      first=21, second=6)
+    counts = _singles(classes, "X", outcomes, "B")
     assert counts["D"] == (6, 27)
     # The same grid read as sender A gives nothing: A sent omega.
-    counts_a = recycled_singles(classes, classes, "X", outcomes, "A")
+    counts_a = _singles(classes, "X", outcomes, "A")
     assert counts_a == {"D": (0, 0), "A": (0, 0)}
 
 
 def test_recycled_singles_excludes_wrong_basis_and_non_vacuum_partner():
     classes = DecisionClasses.build(TABLE)
     # Sender in X while Z is measured: carries no Z-alignment signal.
-    combo, outcomes = _single_combo_outcomes(idx("X", 0, "mu"),
-                                             idx("Z", 0, "omega"),
-                                             first=50, second=50)
-    assert recycled_singles(classes, classes, "Z", outcomes, "A") \
+    outcomes = _single_combo_outcomes(idx("X", 0, "mu"),
+                                      idx("Z", 0, "omega"),
+                                      first=50, second=50)
+    assert _singles(classes, "Z", outcomes, "A") \
         == {"H": (0, 0), "V": (0, 0)}
     # Partner at nu is not a vacuum reference.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 0, "nu"),
-                                             first=50, second=50)
-    assert recycled_singles(classes, classes, "Z", outcomes, "A") \
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
+                                      idx("Z", 0, "nu"),
+                                      first=50, second=50)
+    assert _singles(classes, "Z", outcomes, "A") \
         == {"H": (0, 0), "V": (0, 0)}
-
-
-def test_recycled_singles_rejects_unknown_sender():
-    classes = DecisionClasses.build(TABLE)
-    with pytest.raises(EngineError, match="sender"):
-        recycled_singles(classes, classes, "Z",
-                         np.zeros((12, 12, 4), dtype=np.int64), "C")
 
 
 def test_conservation_partitions_every_slot():
@@ -272,53 +266,50 @@ def test_conservation_partitions_every_slot():
     probs = window_class_probabilities(classes, classes, identity, identity,
                                        "X", PARAMS)
     n_slots = 300_000
-    combo, outcomes = sample_window_counts(n_slots, classes, classes, probs,
-                                           np.random.default_rng(3))
-    counts = conservation_counts(classes, classes, "X", combo, outcomes)
-    assert set(counts) == set(engine.CONSERVATION_CLASSES)
+    _, outcomes = sample_window_counts(n_slots, classes, classes, probs,
+                                       np.random.default_rng(3))
+    routes = route_window(classes, classes, "X", outcomes)
+    counts = routes.conservation
+    assert list(counts) == list(engine.CONSERVATION_CLASSES)
     assert sum(counts.values()) == n_slots
     # Recycled class equals the sum of both senders' estimator totals.
-    total_recycled = 0
-    for sender in ("A", "B"):
-        for _, n_total in recycled_singles(classes, classes, "X", outcomes,
-                                           sender).values():
-            total_recycled += n_total
+    total_recycled = sum(n_total for singles in (routes.singles_a,
+                                                 routes.singles_b)
+                         for _, n_total in singles.values())
     assert counts["recycled"] == total_recycled
 
 
 def test_conservation_class_definitions():
     classes = DecisionClasses.build(TABLE)
     # Matched-basis signal-strength coincidence is a key candidate.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 1, "mu"),
-                                             psi=2, first=3, none=5)
-    counts = conservation_counts(classes, classes, "Z", combo, outcomes)
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"), idx("Z", 1, "mu"),
+                                      psi=2, first=3, none=5)
+    counts = _conservation(classes, "Z", outcomes)
     assert counts["key_candidate"] == 2
     assert counts["recycled"] == 0
     assert counts["discarded"] == 8
     # Same-basis decoy-strength coincidence feeds the tallies only.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "nu"),
-                                             idx("Z", 1, "mu"), psi=4)
-    counts = conservation_counts(classes, classes, "Z", combo, outcomes)
+    outcomes = _single_combo_outcomes(idx("Z", 0, "nu"), idx("Z", 1, "mu"),
+                                      psi=4)
+    counts = _conservation(classes, "Z", outcomes)
     assert counts["decoy_coincidence"] == 4
     # Mu-mu coincidence in the non-measured basis is not key material.
-    combo, outcomes = _single_combo_outcomes(idx("X", 0, "mu"),
-                                             idx("X", 1, "mu"), psi=6)
-    counts = conservation_counts(classes, classes, "Z", combo, outcomes)
+    outcomes = _single_combo_outcomes(idx("X", 0, "mu"), idx("X", 1, "mu"),
+                                      psi=6)
+    counts = _conservation(classes, "Z", outcomes)
     assert counts["key_candidate"] == 0
     assert counts["decoy_coincidence"] == 6
     # Partner-vacuum singles in the measured basis are recycled.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 1, "mu"),
-                                             idx("X", 0, "omega"),
-                                             first=7, second=2, none=1)
-    counts = conservation_counts(classes, classes, "Z", combo, outcomes)
+    outcomes = _single_combo_outcomes(idx("Z", 1, "mu"),
+                                      idx("X", 0, "omega"),
+                                      first=7, second=2, none=1)
+    counts = _conservation(classes, "Z", outcomes)
     assert counts["recycled"] == 9
     assert counts["discarded"] == 1
     # Both-vacuum singles carry no reference and are discarded.
-    combo, outcomes = _single_combo_outcomes(idx("Z", 1, "omega"),
-                                             idx("Z", 0, "omega"),
-                                             first=8)
-    counts = conservation_counts(classes, classes, "Z", combo, outcomes)
+    outcomes = _single_combo_outcomes(idx("Z", 1, "omega"),
+                                      idx("Z", 0, "omega"), first=8)
+    counts = _conservation(classes, "Z", outcomes)
     assert counts["recycled"] == 0
     assert counts["discarded"] == 8
 
@@ -341,9 +332,9 @@ def test_expected_recycled_rate_against_probability_sum():
             if ok:
                 p_recycled += joint[i, j] * singles
     n_slots = 2_000_000
-    combo, outcomes = sample_window_counts(n_slots, classes, classes, probs,
-                                           np.random.default_rng(17))
-    counts = conservation_counts(classes, classes, "Z", combo, outcomes)
+    _, outcomes = sample_window_counts(n_slots, classes, classes, probs,
+                                       np.random.default_rng(17))
+    counts = _conservation(classes, "Z", outcomes)
     expected = n_slots * p_recycled
     sigma = np.sqrt(expected)
     assert abs(counts["recycled"] - expected) < 5.0 * sigma
@@ -416,29 +407,25 @@ def test_routing_matches_mask_reference_on_random_counts(meas_basis):
         outcome_counts = rng.integers(0, high, size=(12, 12, 4))
         outcome_counts[rng.random((12, 12, 4)) < trial / 40] = 0
         combo_counts = outcome_counts.sum(axis=2)
-        tallies = TallySet()
-        accumulate_tallies(tallies, classes_a, classes_b, meas_basis,
-                           combo_counts, outcome_counts)
-        assert np.array_equal(tallies.counts, _reference_tallies(
+        routes = route_window(classes_a, classes_b, meas_basis,
+                              outcome_counts)
+        assert routes.tallies.dtype == np.int64
+        assert np.array_equal(routes.tallies, _reference_tallies(
             classes_a, classes_b, meas_basis, combo_counts, outcome_counts))
-        for sender in ("A", "B"):
-            assert recycled_singles(classes_a, classes_b, meas_basis,
-                                    outcome_counts, sender) \
-                == _reference_singles(classes_a, classes_b, meas_basis,
-                                      outcome_counts, sender)
-        assert conservation_counts(classes_a, classes_b, meas_basis,
-                                   combo_counts, outcome_counts) \
-            == _reference_conservation(classes_a, classes_b, meas_basis,
-                                       combo_counts, outcome_counts)
+        for sender, singles in (("A", routes.singles_a),
+                                ("B", routes.singles_b)):
+            assert singles == _reference_singles(
+                classes_a, classes_b, meas_basis, outcome_counts, sender)
+        assert routes.conservation == _reference_conservation(
+            classes_a, classes_b, meas_basis, combo_counts, outcome_counts)
 
 
 def test_routing_refuses_counts_beyond_exact_float_sums():
     classes = DecisionClasses.build(TABLE)
-    combo, outcomes = _single_combo_outcomes(idx("Z", 0, "mu"),
-                                             idx("Z", 1, "mu"),
-                                             psi=2 ** 53)
+    outcomes = _single_combo_outcomes(idx("Z", 0, "mu"), idx("Z", 1, "mu"),
+                                      psi=2 ** 53 - 1)
+    cell = _tallies(classes, "Z", outcomes).cell("Z", "mu", "mu")
+    assert (cell.sent, cell.coincidences) == (2 ** 53 - 1, 2 ** 53 - 1)
+    outcomes[0, 0, PSI_PLUS] = 1
     with pytest.raises(EngineError, match="exactly"):
-        conservation_counts(classes, classes, "Z", combo, outcomes)
-    with pytest.raises(EngineError, match="exactly"):
-        accumulate_tallies(TallySet(), classes, classes, "Z", combo,
-                           outcomes)
+        route_window(classes, classes, "Z", outcomes)

@@ -1,9 +1,9 @@
-"""Networked transport: failure injection and socket options.
+"""Protocol nodes and transports: wire traffic, checks and failures.
 
-The failures are injected with monkeypatch; the fork start method
-carries the patches into the user processes.  Every injected failure
-must surface as a SessionError that names its cause, in well under the
-transport's last-resort socket timeout.
+The networked failures are injected with monkeypatch; the fork start
+method carries the patches into the user processes.  Every injected
+failure must surface as a SessionError that names its cause, in well
+under the transport's last-resort socket timeout.
 """
 
 import math
@@ -11,15 +11,21 @@ import multiprocessing
 import os
 import socket
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mdiqkd_polcomp import nodes
 from mdiqkd_polcomp.cli import EXIT_SESSION, main
-from mdiqkd_polcomp.session import SessionConfig, SessionError, run_session
-from mdiqkd_polcomp.wire import (CompensatorState, MisalignmentAnnouncement,
-                                 encode_message)
+from mdiqkd_polcomp.polarization import (DriftProcess, misalignment_angles,
+                                         random_misalignment,
+                                         squeezer_unitary)
+from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
+                                    SessionFailure, run_session)
+from mdiqkd_polcomp.wire import (CompensatorState, FrameDecoder,
+                                 MisalignmentAnnouncement, SessionEnd,
+                                 WindowSummary, encode_message)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -187,3 +193,110 @@ def test_both_ends_of_a_live_session_disable_nagle(monkeypatch, tmp_path):
     assert len(flags) == 3
     for values in flags.values():
         assert values and all(int(value) != 0 for value in values)
+
+
+def test_in_process_wire_traffic_is_one_state_and_one_announcement_per_user():
+    sent = []
+
+    def recording_encode(message):
+        sent.append(message)
+        return encode_message(message)
+
+    config = networked_config(mode="in-process")
+    n_windows = len(config.windows())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodes, "encode_message", recording_encode)
+        run_session(config)
+    assert n_windows == 4
+    assert Counter(type(message) for message in sent) == {
+        CompensatorState: 2 + 2 * n_windows,
+        MisalignmentAnnouncement: 2 * n_windows,
+        SessionEnd: 2}
+    # The openings, then per window one announcement to each user and
+    # each user's state for the next window.
+    for window in range(n_windows + 1):
+        assert sorted(m.user for m in sent if isinstance(m, CompensatorState)
+                      and m.window == window) == sorted(USERS)
+    for window in range(n_windows):
+        assert sorted(m.user for m in sent
+                      if isinstance(m, MisalignmentAnnouncement)
+                      and m.window == window) == sorted(USERS)
+
+
+def test_user_node_refuses_a_window_summary():
+    user = nodes.UserNode("alice", networked_config(mode="in-process"))
+    summary = WindowSummary(window=0, meas_basis="Z",
+                            counts={"key_candidate": 1})
+    with pytest.raises(SessionFailure,
+                       match="alice cannot handle message type WindowSummary"):
+        user.handle(summary)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_measurement_node_refuses_boolean_retardances(value):
+    charlie = nodes.CharlieNode(networked_config(mode="in-process"))
+    state = CompensatorState(user="bob", window=0,
+                             retardances=(0.0, value, 0.0, 0.0))
+    # A JSON true or false decodes as a bool, not as 1 or 0.
+    [decoded] = FrameDecoder().feed(encode_message(state))
+    assert decoded.retardances[1] is value
+    with pytest.raises(SessionFailure,
+                       match=f"window 0 holds retardance {value}, outside"):
+        charlie.handle(decoded)
+
+
+def test_squeezer_unitary_is_rebuilt_only_when_retardances_change():
+    config = SessionConfig(duration_s=90.0, rep_rate_hz=1e4, seed=31,
+                           initial_misalignment_a=0.1,
+                           initial_misalignment_b=0.05)
+    same, changed = (0.1, -0.2, 0.3, 0.0), (0.1, -0.2, 0.35, 0.0)
+    # Alice holds, changes, holds, reverts and holds; Bob always holds.
+    # A final window-6 state closes the session.
+    retardances = {"alice": [same, same, changed, changed, same, same, same],
+                   "bob": [changed] * 7}
+    built = []
+
+    def counting_unitary(values):
+        built.append(tuple(values))
+        return squeezer_unitary(values)
+
+    charlie = nodes.CharlieNode(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodes, "squeezer_unitary", counting_unitary)
+        for window in range(len(charlie.windows) + 1):
+            for user in USERS:
+                charlie.handle(CompensatorState(
+                    user=user, window=window,
+                    retardances=retardances[user][window]))
+    assert charlie.finished and len(charlie.windows) == 6
+    assert built == [same, changed, changed, same]
+    for _, unitary in charlie._squeezers.values():
+        assert not unitary.flags.writeable
+
+    streams = {"alice": (config.drift_rate_a, config.initial_misalignment_a,
+                         nodes._STREAM_DRIFT_A, nodes._STREAM_INIT_A),
+               "bob": (config.drift_rate_b, config.initial_misalignment_b,
+                       nodes._STREAM_DRIFT_B, nodes._STREAM_INIT_B)}
+    for user, (rate, initial, drift_tag, init_tag) in streams.items():
+        drift = DriftProcess(rate, seed=[config.seed, drift_tag],
+                             initial=random_misalignment(
+                                 initial, seed=[config.seed, init_tag]))
+        for trace in charlie.report.windows:
+            expected = misalignment_angles(
+                drift.step(trace.duration)
+                @ squeezer_unitary(retardances[user][trace.index]))
+            assert trace.true_theta[user] == expected
+
+
+def test_squeezer_cache_tells_negative_zero_from_zero():
+    charlie = nodes.CharlieNode(SessionConfig(duration_s=30.0,
+                                              rep_rate_hz=1e4))
+    zero, negative_zero = (0.0, 0.0, -1.2, 0.0), (0.0, 0.0, -1.2, -0.0)
+    # Equal as numbers, but the unitaries differ in the sign of a zero.
+    assert zero == negative_zero
+    assert squeezer_unitary(zero).tobytes() \
+        != squeezer_unitary(negative_zero).tobytes()
+    for values in (zero, negative_zero, zero):
+        unitary = charlie._squeezer(CompensatorState(
+            user="alice", window=0, retardances=values))
+        assert unitary.tobytes() == squeezer_unitary(values).tobytes()

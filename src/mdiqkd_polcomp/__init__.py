@@ -24,9 +24,8 @@ from .compensation import (CollectionPlan, CompensationError,
                            ControllerConfig, EstimatorWindow,
                            MisalignmentEstimate, chernoff_failure_bound,
                            estimate_theta, plan_collection)
-from .config import (ConfigError, available_profiles, config_as_dict,
-                     config_to_ini, load_profile, parse_config_text,
-                     read_config_file)
+from .config import (ConfigError, available_profiles, config_to_ini,
+                     load_profile, parse_config_text, read_config_file)
 from .decoy import (DecoyError, GainGrid, KeyRateReport, TallySet,
                     YieldBounds, bound_y11_e11, key_rate,
                     load_reference_half)
@@ -63,8 +62,8 @@ __all__ = [
     "SessionConfig", "SessionError", "SessionFailure", "SessionReport",
     "analyze_tallies", "run_session",
     # configuration
-    "ConfigError", "available_profiles", "config_as_dict", "config_to_ini",
-    "load_profile", "parse_config_text", "read_config_file",
+    "ConfigError", "available_profiles", "config_to_ini", "load_profile",
+    "parse_config_text", "read_config_file",
     # reporting
     "ReportingError", "RunManifest", "build_manifest", "emit_traces",
     "read_manifest", "recompute_summary", "summary_text", "write_manifest",

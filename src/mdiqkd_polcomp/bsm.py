@@ -91,17 +91,8 @@ class BasisSchedule:
         if not self.period > 0.0:
             raise BsmError(f"schedule period must be positive, got {self.period}")
 
-    def window_index(self, t: float) -> int:
-        if t < 0:
-            raise BsmError("time must be nonnegative")
-        return int(math.floor(t / self.period))
-
     def window_basis(self, index: int) -> str:
         return "Z" if index % 2 == 0 else "X"
-
-    def n_windows(self, duration: float) -> int:
-        """Number of complete windows in a session of `duration` seconds."""
-        return int(math.floor(duration / self.period + 1e-9))
 
 
 def arm_amplitudes(states: np.ndarray, mus: np.ndarray,

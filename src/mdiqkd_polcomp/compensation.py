@@ -71,10 +71,6 @@ class MisalignmentEstimate:
 
     theta_z: float | None
     theta_x: float | None
-    n_err_z: float = 0.0
-    n_max_z: float = 0.0
-    n_err_x: float = 0.0
-    n_max_x: float = 0.0
 
     def theta(self, basis: str) -> float | None:
         return self.theta_z if basis == "Z" else self.theta_x
@@ -96,20 +92,17 @@ def _pooled_angle(n_err: float, n_max: float) -> float | None:
 
 def estimate_theta(window: EstimatorWindow) -> MisalignmentEstimate:
     """Pool counts per basis and convert the ratio to an angle."""
-    err_z, max_z = window.pooled("Z")
-    err_x, max_x = window.pooled("X")
-    return MisalignmentEstimate(theta_z=_pooled_angle(err_z, max_z),
-                                theta_x=_pooled_angle(err_x, max_x),
-                                n_err_z=err_z, n_max_z=max_z,
-                                n_err_x=err_x, n_max_x=max_x)
+    return MisalignmentEstimate(theta_z=_pooled_angle(*window.pooled("Z")),
+                                theta_x=_pooled_angle(*window.pooled("X")))
 
 
 @dataclass
 class ReferenceTracker:
     """Trailing average of observed per-state singles totals.
 
-    Supplies the N_max reference for the next window; seeded with the
-    calibrated expectation before any data arrives.
+    Supplies each window's N_max reference.  A state's first observed
+    total becomes its reference as it is; later totals are blended in
+    with weight `smoothing`.
     """
 
     smoothing: float = 0.3
@@ -118,12 +111,6 @@ class ReferenceTracker:
     def __post_init__(self):
         if not 0.0 < self.smoothing <= 1.0:
             raise CompensationError("smoothing must be in (0, 1]")
-
-    def seed(self, key, expectation: float) -> None:
-        self.values.setdefault(key, float(expectation))
-
-    def reference(self, key) -> float:
-        return self.values.get(key, 0.0)
 
     def update(self, key, observed: float) -> float:
         previous = self.values.get(key)
@@ -176,11 +163,10 @@ def plan_collection(p_hat: float, epsilon: float, delta: float,
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Feedback tuning: gain, trigger threshold, window length, step cap."""
+    """Feedback tuning: gain, trigger threshold, step cap, stall limits."""
 
     alpha: float = 0.55
     threshold: float = 0.13
-    t_collection: float = 15.0
     max_step: float = 0.5
     stall_patience: int = 6
     best_tolerance: float = 1e-4
@@ -190,8 +176,6 @@ class ControllerConfig:
             raise CompensationError(f"alpha must be nonnegative, got {self.alpha}")
         if self.threshold <= 0.0:
             raise CompensationError("threshold must be positive")
-        if self.t_collection <= 0.0:
-            raise CompensationError("t_collection must be positive")
         if self.max_step <= 0.0:
             raise CompensationError("max_step must be positive")
         if self.stall_patience < 1:

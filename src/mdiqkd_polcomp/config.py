@@ -16,7 +16,6 @@ inside the package and is the implicit base when no file is given.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from importlib import resources
 
 from .bsm import BasisSchedule, BsmError, DetectorParams
@@ -32,7 +31,6 @@ __all__ = [
     "read_config_file",
     "parse_config_text",
     "config_to_ini",
-    "config_as_dict",
 ]
 
 DEFAULT_PROFILE = "reference-defaults"
@@ -73,7 +71,6 @@ _SCHEMA = {
     "controller": {
         "alpha": float,
         "threshold": float,
-        "t_collection_s": float,
         "max_step": float,
         "stall_patience": int,
         "best_tolerance": float,
@@ -142,8 +139,7 @@ def parse_config_text(text: str, source: str = "<config>") -> SessionConfig:
         detector = DetectorParams(**section_kwargs("detector"))
         schedule = BasisSchedule(**section_kwargs("schedule",
                                                   {"period_s": "period"}))
-        controller = ControllerConfig(
-            **section_kwargs("controller", {"t_collection_s": "t_collection"}))
+        controller = ControllerConfig(**section_kwargs("controller"))
         session_kwargs = section_kwargs("session")
         drift = section_kwargs("drift")
         return SessionConfig(
@@ -207,10 +203,8 @@ def config_to_ini(config: SessionConfig) -> str:
         "detector": {key: getattr(config.detector, key)
                      for key in _SCHEMA["detector"]},
         "schedule": {"period_s": config.schedule.period},
-        "controller": {key: getattr(
-            config.controller,
-            "t_collection" if key == "t_collection_s" else key)
-            for key in _SCHEMA["controller"]},
+        "controller": {key: getattr(config.controller, key)
+                       for key in _SCHEMA["controller"]},
         "drift": {
             "rate_a": config.drift_rate_a,
             "rate_b": config.drift_rate_b,
@@ -227,11 +221,3 @@ def config_to_ini(config: SessionConfig) -> str:
             lines.append(f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)
-
-
-def config_as_dict(config: SessionConfig) -> dict:
-    """SessionConfig as nested plain types (JSON-ready, e.g. manifests)."""
-    out = dataclasses.asdict(config)
-    out["schedule"] = {"period_s": config.schedule.period}
-    out["controller"] = dataclasses.asdict(config.controller)
-    return out

@@ -157,14 +157,6 @@ class TallySet:
         return TallyCell(*self.counts[
             _cell_index(basis, intensity_a, intensity_b)].tolist())
 
-    def gain(self, basis: str, intensity_a: str, intensity_b: str) -> float:
-        cell = self.cell(basis, intensity_a, intensity_b)
-        return cell.coincidences / cell.sent if cell.sent else 0.0
-
-    def qber(self, basis: str, intensity_a: str, intensity_b: str) -> float:
-        cell = self.cell(basis, intensity_a, intensity_b)
-        return cell.errors / cell.coincidences if cell.coincidences else 0.0
-
     def gain_grid(self, basis: str) -> "GainGrid":
         """Gains and error gains with binomial 1-sigma uncertainties."""
         n = len(INTENSITY_LABELS)

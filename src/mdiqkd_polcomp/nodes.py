@@ -3,12 +3,12 @@
 Three nodes take part: two user nodes (alice, bob) that own their
 compensator hardware and feedback state, and the measurement node that
 owns the fiber drift, samples detections, and announces per-window
-misalignment estimates.  Nodes exchange length-prefixed JSON frames in
-both transports: the in-process transport moves the encoded bytes
-through in-memory queues, the networked transport moves the same bytes
-over TCP sockets with each user in its own process.  All randomness is
-consumed at the measurement node, so both transports produce identical
-reports for identical configurations.
+misalignment estimates.  Both transports run one serve loop over the
+same length-prefixed JSON frames: in-process, each user node sits
+behind a pair of frame decoders in this process; networked, each user
+runs in its own process and the frames cross TCP sockets.  All
+randomness is consumed at the measurement node, so both transports
+produce identical reports for identical configurations.
 
 Per window the exchange is: each user sends its compensator state, the
 measurement node simulates the window under the resulting channels and
@@ -27,7 +27,6 @@ import socket
 import struct
 import sys
 import traceback
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,14 +139,6 @@ def _check_retardances(message: CompensatorState) -> None:
                 f"range +/-{RETARDANCE_LIMIT:g}")
 
 
-@dataclass
-class _WindowLedger:
-    """Measurement-node bookkeeping for one window awaiting trigger flags."""
-
-    trace_fields: dict
-    triggered: dict = field(default_factory=dict)
-
-
 class CharlieNode:
     """The measurement node: drift, detection sampling, and announcements."""
 
@@ -177,7 +168,8 @@ class CharlieNode:
         # user -> (retardance key, read-only squeezer unitary)
         self._squeezers: dict = {}
         self.traces: list = []
-        self._ledgers: dict = {}
+        # The last window's trace fields, awaiting the users' trigger flags.
+        self._last_trace: dict | None = None
         self._pending_states: dict = {}
         self._next_window = 0
         self.finished = False
@@ -201,11 +193,15 @@ class CharlieNode:
                 f"window {message.window}")
         _check_retardances(message)
         self._pending_states[message.user] = message
-        self._record_trigger(message)
         if set(self._pending_states) != set(USERS):
             return []
         states = self._pending_states
         self._pending_states = {}
+        if self._last_trace is not None:
+            # A window-w state carries the user's reaction to window w - 1.
+            self.traces.append(WindowTrace(
+                triggered={user: states[user].triggered for user in USERS},
+                **self._last_trace))
         if self._next_window >= len(self.windows):
             self._finish(states)
             return [(user, SessionEnd(reason="schedule complete"))
@@ -213,19 +209,6 @@ class CharlieNode:
         out = self._run_window(self._next_window, states)
         self._next_window += 1
         return out
-
-    def _record_trigger(self, message: CompensatorState) -> None:
-        """A window-w state carries the user's reaction to window w - 1."""
-        ledger = self._ledgers.get(message.window - 1)
-        if ledger is not None:
-            ledger.triggered[message.user] = message.triggered
-            if set(ledger.triggered) == set(USERS):
-                self._freeze_trace(message.window - 1)
-
-    def _freeze_trace(self, index: int) -> None:
-        ledger = self._ledgers.pop(index)
-        self.traces.append(WindowTrace(triggered=dict(ledger.triggered),
-                                       **ledger.trace_fields))
 
     # -- physics -----------------------------------------------------------
 
@@ -286,10 +269,10 @@ class CharlieNode:
 
         true_theta = {user: misalignment_angles(channels[user])
                       for user in USERS}
-        self._ledgers[index] = _WindowLedger(trace_fields=dict(
+        self._last_trace = dict(
             index=index, t_start=t_start, duration=dt, meas_basis=meas_basis,
             n_slots=n_slots, est_theta=est_theta, true_theta=true_theta,
-            estimator_counts=estimator_counts, counts=counts))
+            estimator_counts=estimator_counts, counts=counts)
         return out
 
     def _sample_slots(self, index: int, n_slots: int, meas_basis: str,
@@ -351,13 +334,6 @@ class CharlieNode:
     def _finish(self, final_states: dict) -> None:
         for user, state in final_states.items():
             self._final_retardances[user] = tuple(state.retardances)
-        for index in sorted(self._ledgers):
-            ledger = self._ledgers[index]
-            for user in USERS:
-                ledger.triggered.setdefault(user, False)
-        for index in sorted(self._ledgers):
-            self._freeze_trace(index)
-        self.traces.sort(key=lambda trace: trace.index)
         bounds, rates = analyze_tallies(self.config, self.tallies)
         self.report = SessionReport(
             duration_s=self.config.duration_s, seed=self.config.seed,
@@ -369,62 +345,63 @@ class CharlieNode:
 
 
 # ---------------------------------------------------------------------------
-# In-process transport
+# The serve loop and the in-process transport
 # ---------------------------------------------------------------------------
 
-class _LoopbackLink:
-    """One direction of an in-memory byte pipe with its frame decoder."""
+def _frame(message) -> bytes:
+    try:
+        return encode_message(message)
+    except WireError as exc:
+        raise SessionFailure(f"cannot send {type(message).__name__}: "
+                             f"{exc}") from exc
 
-    def __init__(self):
-        self.decoder = FrameDecoder()
-        self._pending = b""
 
-    def send(self, message) -> None:
-        try:
-            self._pending += encode_message(message)
-        except WireError as exc:
-            raise SessionFailure(f"cannot send {type(message).__name__}: "
-                                 f"{exc}") from exc
+def _serve(charlie: CharlieNode, links: dict) -> SessionReport:
+    """Serve windows over `links` until the measurement node finishes.
 
-    def receive(self) -> list:
-        data = self._pending
-        self._pending = b""
-        return self.decoder.feed(data)
+    One message is read per user in fixed user order (alice, then bob),
+    which makes message processing deterministic.  Each destination gets
+    its replies to one message in one write.
+    """
+    while not charlie.finished:
+        for name in USERS:
+            frames: dict = {}
+            for dest, reply in charlie.handle(links[name].read_message()):
+                frames.setdefault(dest, []).append(_frame(reply))
+            for dest, parts in frames.items():
+                links[dest].send(b"".join(parts))
+    assert charlie.report is not None
+    return charlie.report
+
+
+class _LocalUser:
+    """A user node in this process, reached through the frames TCP carries."""
+
+    def __init__(self, name: str, config: SessionConfig):
+        self.node = UserNode(name, config)
+        self._to_user = FrameDecoder()
+        self._from_user = FrameDecoder()
+        self.inbox: list = []
+        self._queue([self.node.initial_message()])
+
+    def _queue(self, messages: list) -> None:
+        data = b"".join(_frame(message) for message in messages)
+        self.inbox.extend(self._from_user.feed(data))
+
+    def read_message(self):
+        if not self.inbox:
+            raise SessionFailure(f"user {self.node.name} has nothing to send")
+        return self.inbox.pop(0)
+
+    def send(self, data: bytes) -> None:
+        for message in self._to_user.feed(data):
+            self._queue(self.node.handle(message))
 
 
 def run_in_process(config: SessionConfig) -> SessionReport:
-    """Drive all three nodes in one process through the loopback transport."""
-    users = {name: UserNode(name, config) for name in USERS}
-    charlie = CharlieNode(config)
-    to_charlie = {name: _LoopbackLink() for name in USERS}
-    to_user = {name: _LoopbackLink() for name in USERS}
-
-    for name in USERS:
-        to_charlie[name].send(users[name].initial_message())
-    # Round-robin until the measurement node finishes; the fixed order
-    # (alice, then bob) makes message processing deterministic.
-    for _ in range(4 * (len(charlie.windows) + 2) + 8):
-        progress = False
-        for name in USERS:
-            for message in to_charlie[name].receive():
-                progress = True
-                for dest, reply in charlie.handle(message):
-                    to_user[dest].send(reply)
-        for name in USERS:
-            for message in to_user[name].receive():
-                progress = True
-                for reply in users[name].handle(message):
-                    to_charlie[name].send(reply)
-        if charlie.finished and all(users[name].finished for name in USERS):
-            break
-        if not progress:
-            raise SessionFailure(
-                "session deadlocked: no node can make progress")
-    else:
-        raise SessionFailure(
-            "session did not terminate within the message budget")
-    assert charlie.report is not None
-    return charlie.report
+    """Drive all three nodes in one process over the serve loop."""
+    return _serve(CharlieNode(config),
+                  {name: _LocalUser(name, config) for name in USERS})
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +566,6 @@ def run_networked(config: SessionConfig) -> SessionReport:
         for name in USERS:
             users[name] = _UserProcess(ctx, name, config, port)
         links: dict = {}
-        openings: dict = {}
         for _ in USERS:
             _await_readable([server], users, "no user connected")
             conn, _addr = server.accept()
@@ -603,20 +579,9 @@ def run_networked(config: SessionConfig) -> SessionReport:
                 raise SessionFailure("both users must connect exactly once")
             link.name = first.user
             links[first.user] = link
-            openings[first.user] = first
-
-        # Replay the opening messages in fixed user order, then keep
-        # serving windows until the node reports completion.  Each
-        # destination gets its replies to one message in one write.
-        while not charlie.finished:
-            for name in USERS:
-                message = (openings.pop(name) if name in openings
-                           else links[name].read_message())
-                frames: dict = {}
-                for dest, reply in charlie.handle(message):
-                    frames.setdefault(dest, []).append(encode_message(reply))
-                for dest, parts in frames.items():
-                    links[dest].send(b"".join(parts))
+            # The serve loop reads the opening in fixed user order.
+            link.inbox.insert(0, first)
+        report = _serve(charlie, links)
         failed = False
     finally:
         for link in accepted:
@@ -624,5 +589,4 @@ def run_networked(config: SessionConfig) -> SessionReport:
         server.close()
         for user in users.values():
             user.stop(failed)
-    assert charlie.report is not None
-    return charlie.report
+    return report

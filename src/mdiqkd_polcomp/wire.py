@@ -123,9 +123,6 @@ MESSAGE_TYPES = {cls.type_tag: cls for cls in (
     BsmResult, BasisIntensityReveal, PolarizationBitReveal,
     MisalignmentAnnouncement, CompensatorState, WindowSummary, SessionEnd)}
 
-ANNOUNCEMENT_TYPES = (BsmResult, BasisIntensityReveal, PolarizationBitReveal,
-                      MisalignmentAnnouncement)
-
 # Field names per type tag.  Fields hold only JSON scalars, tuples (which
 # json writes as arrays) and flat dicts, so no recursive copy is needed.
 _FIELDS = {tag: tuple(f.name for f in fields(cls))

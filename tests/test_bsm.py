@@ -9,6 +9,7 @@ from scipy import integrate, special
 from mdiqkd_polcomp import bsm
 from mdiqkd_polcomp import polarization as pol
 from mdiqkd_polcomp.engine import DecisionClasses
+from mdiqkd_polcomp.session import SessionConfig
 from mdiqkd_polcomp.transmitter import INTENSITY_LABELS, IntensityTable
 
 
@@ -215,20 +216,22 @@ def test_monte_carlo_agrees_with_analytic():
 
 
 def test_basis_schedule():
-    schedule = bsm.BasisSchedule(period=15.0)
+    windows = SessionConfig(duration_s=4 * 3600.0,
+                            schedule=bsm.BasisSchedule(period=15.0)).windows()
+
     def basis_at(t):
-        return schedule.window_basis(schedule.window_index(t))
+        [basis] = [basis for start, dt, basis in windows
+                   if start <= t < start + dt]
+        return basis
 
     assert basis_at(0.0) == "Z"
     assert basis_at(14.999) == "Z"
     assert basis_at(15.0) == "X"
     # floor(100 / 15) = 6, an even window index, so the basis is Z.
     assert basis_at(100.0) == "Z"
-    assert schedule.n_windows(4 * 3600.0) == 960
-    bases = [schedule.window_basis(k) for k in range(960)]
+    assert len(windows) == 960
+    bases = [basis for _, _, basis in windows]
     assert bases.count("Z") == 480
     assert bases.count("X") == 480
     with pytest.raises(bsm.BsmError):
         bsm.BasisSchedule(period=0.0)
-    with pytest.raises(bsm.BsmError):
-        schedule.window_index(-1.0)

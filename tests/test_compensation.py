@@ -142,12 +142,11 @@ def test_estimator_bias_vanishes_at_large_counts():
 
 def test_reference_tracker_seeding_and_trailing_average():
     tracker = comp.ReferenceTracker(smoothing=0.3)
-    tracker.seed(("Z", "H"), 1000.0)
-    tracker.seed(("Z", "H"), 5.0)          # seeding never overwrites
-    assert tracker.reference(("Z", "H")) == 1000.0
+    # A state's first observation seeds its reference as it is.
+    assert tracker.update(("Z", "H"), 1000.0) == 1000.0
     updated = tracker.update(("Z", "H"), 2000.0)
     assert updated == pytest.approx(0.7 * 1000.0 + 0.3 * 2000.0)
-    assert tracker.update(("X", "D"), 400.0) == 400.0   # first observation sticks
+    assert tracker.update(("X", "D"), 400.0) == 400.0   # states are independent
     with pytest.raises(comp.CompensationError):
         comp.ReferenceTracker(smoothing=0.0)
 
@@ -246,8 +245,6 @@ def test_config_validation():
         comp.ControllerConfig(alpha=-0.1)
     with pytest.raises(comp.CompensationError):
         comp.ControllerConfig(threshold=0.0)
-    with pytest.raises(comp.CompensationError):
-        comp.ControllerConfig(t_collection=-1.0)
     with pytest.raises(comp.CompensationError):
         comp.ControllerConfig(stall_patience=0)
 

@@ -5,9 +5,9 @@ import dataclasses
 import pytest
 
 from mdiqkd_polcomp.config import (ConfigError, DEFAULT_PROFILE,
-                                   available_profiles, config_as_dict,
-                                   config_to_ini, load_profile,
-                                   parse_config_text, read_config_file)
+                                   available_profiles, config_to_ini,
+                                   load_profile, parse_config_text,
+                                   read_config_file)
 from mdiqkd_polcomp.session import SessionConfig
 from mdiqkd_polcomp.transmitter import IntensityTable
 
@@ -81,7 +81,6 @@ period_s = 10
 [controller]
 alpha = 0.4
 threshold = 0.2
-t_collection_s = 10
 max_step = 0.3
 stall_patience = 4
 best_tolerance = 1e-3
@@ -107,7 +106,7 @@ initial_misalignment_b = 0.06
     assert config.detector.efficiency == 0.1
     assert config.schedule.period == 10.0
     assert config.controller.alpha == 0.4
-    assert config.controller.t_collection == 10.0
+    assert config.controller.max_step == 0.3
     assert config.controller.stall_patience == 4
     assert config.drift_rate_b == 0.002
     assert config.initial_misalignment_a == 0.05
@@ -132,6 +131,14 @@ def test_removed_n_phase_key_names_file_and_section(tmp_path):
         read_config_file(path)
     assert str(excinfo.value).startswith(
         f"{path}: unknown key 'n_phase' in [session]")
+
+
+def test_removed_t_collection_key_is_rejected_by_name():
+    # The window length comes from [schedule] period_s; the controller's
+    # own collection time was never read and is gone.
+    with pytest.raises(ConfigError, match=r"unknown key 't_collection_s' in "
+                                          r"\[controller\]"):
+        parse_config_text("[controller]\nt_collection_s = 15.0\n")
 
 
 @pytest.mark.parametrize("text, match", [
@@ -189,12 +196,3 @@ def test_read_config_file_round_trip(tmp_path):
 def test_missing_config_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config file"):
         read_config_file(tmp_path / "absent.ini")
-
-
-def test_config_as_dict_is_json_ready():
-    import json
-
-    payload = config_as_dict(load_profile())
-    text = json.dumps(payload, sort_keys=True)
-    assert json.loads(text)["controller"]["alpha"] == 0.55
-    assert payload["schedule"] == {"period_s": 15.0}

@@ -94,11 +94,12 @@ def test_tally_record_gain_and_qber():
     tallies = TallySet()
     tallies.record("Z", "mu", "mu", sent=1_000_000, coincidences=30,
                    errors=3)
-    assert tallies.gain("Z", "mu", "mu") == pytest.approx(3e-5)
-    assert tallies.qber("Z", "mu", "mu") == pytest.approx(0.1)
+    cell = tallies.cell("Z", "mu", "mu")
+    assert cell == (1_000_000, 30, 3)
+    assert cell.coincidences / cell.sent == pytest.approx(3e-5)
+    assert cell.errors / cell.coincidences == pytest.approx(0.1)
     # Unfilled cells read as zero counts.
-    assert tallies.gain("X", "nu", "omega") == 0.0
-    assert tallies.qber("X", "nu", "omega") == 0.0
+    assert tallies.cell("X", "nu", "omega") == (0, 0, 0)
 
 
 def test_tally_rejects_inconsistent_counts():

@@ -223,6 +223,36 @@ def test_in_process_wire_traffic_is_one_state_and_one_announcement_per_user():
                       and m.window == window) == sorted(USERS)
 
 
+def test_in_process_user_with_nothing_to_send_is_named(monkeypatch):
+    handle = nodes.UserNode.handle
+
+    def silent_handle(self, message):
+        replies = handle(self, message)
+        if self.name == "bob" and getattr(message, "window", None) == 2:
+            return []
+        return replies
+
+    monkeypatch.setattr(nodes.UserNode, "handle", silent_handle)
+    message, _ = session_error(networked_config(mode="in-process"))
+    assert message == "user bob has nothing to send"
+
+
+@pytest.mark.parametrize("mode", ["in-process", "networked"])
+def test_every_window_trace_carries_its_trigger_flags(monkeypatch, mode):
+    # A user evaluates its feedback once both basis angles are fresh, so
+    # with a controller that always steps, every X window (odd index)
+    # triggers and no Z window does.  The last window is an X window, and
+    # its flags arrive only with the users' closing states.
+    monkeypatch.setattr(nodes, "control_step",
+                        lambda state, estimate, config, bank: object())
+    report = run_session(networked_config(mode=mode))
+    assert [trace.index for trace in report.windows] == [0, 1, 2, 3]
+    for trace in report.windows:
+        fired = trace.meas_basis == "X"
+        assert trace.triggered == {user: fired for user in USERS}
+    assert all(report.windows[-1].triggered.values())
+
+
 def test_user_node_refuses_a_window_summary():
     user = nodes.UserNode("alice", networked_config(mode="in-process"))
     summary = WindowSummary(window=0, meas_basis="Z",

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bsm import DetectorParams, pair_gain_and_qber
+from .transmitter import IntensityTable
 
 __all__ = [
     "CalibrationError",
@@ -24,8 +25,8 @@ __all__ = [
 ]
 
 DEFAULT_TARGET_GAIN = 3.0e-5
-DEFAULT_SIGNAL_INTENSITY = 0.28
-DEFAULT_DARK_PROB = 2.0e-6
+DEFAULT_SIGNAL_INTENSITY = IntensityTable().mu
+DEFAULT_DARK_PROB = DetectorParams().dark_prob
 
 
 class CalibrationError(ValueError):

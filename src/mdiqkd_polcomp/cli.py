@@ -35,17 +35,19 @@ import numpy as np
 
 from . import __version__
 from .bsm import BsmError
-from .calibrate import CalibrationError, fit_efficiency
+from .calibrate import DEFAULT_TARGET_GAIN, CalibrationError, fit_efficiency
 from .compensation import CompensationError, plan_collection
 from .config import (ConfigError, DEFAULT_PROFILE, available_profiles,
                      load_profile, read_config_file)
 from .decoy import (DecoyError, TallySet, bound_y11_e11, key_rate,
                     load_reference_half, p11, read_gain_csv)
 from .reporting import (MANIFEST_NAME, ReportingError, build_manifest,
-                        emit_traces, write_manifest)
-from .session import (SessionError, SessionFailure, analyze_tallies,
+                        emit_traces, fmt, half_section, misalignment_digest,
+                        misalignment_rows, rate_line, rated_values,
+                        write_manifest)
+from .session import (USERS, SessionError, SessionFailure, analyze_tallies,
                       run_session)
-from .transmitter import TransmitterError
+from .transmitter import BASIS_LABELS, TransmitterError
 
 __all__ = ["main", "EXIT_OK", "EXIT_USAGE", "EXIT_CONFIG", "EXIT_OUTPUT",
            "EXIT_INPUT", "EXIT_SESSION"]
@@ -153,9 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fit detector efficiency to a target gain")
     add_config_flags(cal)
     add_seed_stub(cal)
-    cal.add_argument("--target-gain", type=float, default=3.0e-5,
+    cal.add_argument("--target-gain", type=float,
+                     default=DEFAULT_TARGET_GAIN,
                      help="same-basis signal gain to match "
-                          "(default: 3.0e-5)")
+                          "(default: %(default)s)")
     cal.add_argument("--mu", type=float,
                      help="signal intensity (default: from config)")
     cal.add_argument("--dark", type=float,
@@ -180,16 +183,18 @@ def _ensure_out_dir(path) -> None:
                              f"{exc}") from exc
 
 
-def _write_lines(path, lines) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ReportingError(f"cannot write {path}: {exc}") from exc
-
-
-def _fmt(value) -> str:
-    return "none" if value is None else repr(float(value))
+def _print_lines(lines, out_dir, name: str) -> None:
+    """Print lines; with an output directory also write them to name."""
+    text = "\n".join(lines) + "\n"
+    print(text, end="")
+    if out_dir:
+        _ensure_out_dir(out_dir)
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ReportingError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +223,13 @@ def _cmd_simulate(args) -> int:
     paths = emit_traces(report, args.out)
     print(f"simulated {report.duration_s} s over {len(report.windows)} "
           f"windows (seed {report.seed}, {report.mode}, {report.sampling})")
-    for half in ("Z", "X"):
-        rate = report.rates.get(half)
-        print(f"half_{half.lower()}: key_rate_bits_per_pulse = "
-              f"{_fmt(None if rate is None else rate.rate)}")
-    for user in ("alice", "bob"):
-        means = report.mean_estimated_theta(user)
-        print(f"{user}: mean_theta_z_rad = {_fmt(means['Z'])}, "
-              f"mean_theta_x_rad = {_fmt(means['X'])}")
+    for half in BASIS_LABELS:
+        *_, rate = rated_values(half, report.bounds, report.rates)
+        print(f"half_{half.lower()}: {rate_line(rate)}")
+    for user in USERS:
+        means, _ = misalignment_digest(misalignment_rows(report, user))
+        print(f"{user}: mean_theta_z_rad = {fmt(means['Z'])}, "
+              f"mean_theta_x_rad = {fmt(means['X'])}")
     print(f"wrote {MANIFEST_NAME} and {len(paths)} artifacts to {args.out}")
     return EXIT_OK
 
@@ -234,28 +238,20 @@ def _cmd_simulate(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analysis_lines_from_rates(bounds: dict, rates: dict) -> list:
-    lines = []
-    valid = []
-    for half in ("Z", "X"):
-        half_bounds = bounds.get(half)
-        half_rate = rates.get(half)
-        lines.append(f"[half_{half.lower()}]")
-        if half_bounds is None:
-            lines += ["y11_lower = none", "e11_upper = none"]
-        else:
-            lines += [f"y11_lower = {_fmt(half_bounds.y11_lower[half])}",
-                      f"e11_upper = {_fmt(half_bounds.e11_upper)}"]
-        if half_rate is None:
-            lines.append("key_rate_bits_per_pulse = none")
-        else:
-            lines.append(f"key_rate_bits_per_pulse = {_fmt(half_rate.rate)}")
-            valid.append(half_rate.rate)
-        lines.append("")
-    lines.append("[combined]")
+def _combined(rates: list) -> list:
+    """The [combined] section: mean of the halves' available rates."""
+    valid = [rate for rate in rates if rate is not None]
     mean = sum(valid) / len(valid) if valid else None
-    lines.append(f"mean_key_rate_bits_per_pulse = {_fmt(mean)}")
-    return lines
+    return ["[combined]", f"mean_key_rate_bits_per_pulse = {fmt(mean)}"]
+
+
+def _analysis_lines_from_rates(bounds: dict, rates: dict) -> list:
+    lines, half_rates = [], []
+    for half in BASIS_LABELS:
+        y11_lower, e11_upper, rate = rated_values(half, bounds, rates)
+        lines += half_section(half, y11_lower, e11_upper, rate)
+        half_rates.append(rate)
+    return lines + _combined(half_rates)
 
 
 def _analyze_published(config, method: str) -> list:
@@ -272,35 +268,28 @@ def _analyze_published(config, method: str) -> list:
              "# own_* bounds are recomputed from its gain tables.",
              ""]
     rates = []
-    for half in ("Z", "X"):
+    for half in BASIS_LABELS:
         grids, summary = load_reference_half(half)
         own = bound_y11_e11(grids, table, half, method=method)
         q_signal = float(grids[half].q[0, 0])
         e_signal = float(grids[half].eq[0, 0] / q_signal)
-        published_y11 = {"Z": summary["y11_lower_z"],
-                         "X": summary["y11_lower_x"]}[half]
+        published_y11 = summary[f"y11_lower_{half.lower()}"]
         rate = key_rate(p11(table.mu), published_y11, summary["e11_upper"],
                         q_signal, e_signal,
                         config.error_correction_efficiency)
         rates.append(rate.rate)
-        lines += [f"[half_{half.lower()}]",
-                  f"y11_lower = {_fmt(published_y11)}",
-                  f"e11_upper = {_fmt(summary['e11_upper'])}",
-                  f"key_rate_bits_per_pulse = {_fmt(rate.rate)}",
-                  f"published_key_rate_bits_per_pulse = "
-                  f"{_fmt(summary['key_rate'])}",
-                  f"own_y11_lower = {_fmt(own.y11_lower[half])}",
-                  f"own_e11_upper = {_fmt(own.e11_upper)}",
-                  ""]
-    lines += ["[combined]",
-              f"mean_key_rate_bits_per_pulse = "
-              f"{_fmt(sum(rates) / len(rates))}"]
-    return lines
+        lines += half_section(
+            half, published_y11, summary["e11_upper"], rate.rate,
+            tail=[f"published_key_rate_bits_per_pulse = "
+                  f"{fmt(summary['key_rate'])}",
+                  f"own_y11_lower = {fmt(own.y11_lower[half])}",
+                  f"own_e11_upper = {fmt(own.e11_upper)}"])
+    return lines + _combined(rates)
 
 
 def _analyze_tally_files(config, path_z, path_x) -> list:
-    tallies = {"Z": _read_input(TallySet.read_csv, path_z),
-               "X": _read_input(TallySet.read_csv, path_x)}
+    tallies = {half: _read_input(TallySet.read_csv, path)
+               for half, path in zip(BASIS_LABELS, (path_z, path_x))}
     bounds, rates = analyze_tallies(config, tallies)
     return _analysis_lines_from_rates(bounds, rates)
 
@@ -309,20 +298,17 @@ def _analyze_gain_files(config, path_z, path_x, method: str) -> list:
     table = config.table_a
     bounds: dict = {}
     rates: dict = {}
-    for half, path in (("Z", path_z), ("X", path_x)):
+    for half, path in zip(BASIS_LABELS, (path_z, path_x)):
         grids = _read_input(read_gain_csv, path)
         half_bounds = bound_y11_e11(grids, table, half, method=method)
+        bounds[half], rates[half] = half_bounds, None
         q_signal = float(grids[half].q[0, 0])
-        if q_signal <= 0.0:
-            bounds[half] = half_bounds
-            rates[half] = None
-            continue
-        e_signal = float(grids[half].eq[0, 0] / q_signal)
-        bounds[half] = half_bounds
-        rates[half] = key_rate(p11(table.mu),
-                               half_bounds.y11_lower[half],
-                               half_bounds.e11_upper, q_signal, e_signal,
-                               config.error_correction_efficiency)
+        if q_signal > 0.0:
+            e_signal = float(grids[half].eq[0, 0] / q_signal)
+            rates[half] = key_rate(p11(table.mu),
+                                   half_bounds.y11_lower[half],
+                                   half_bounds.e11_upper, q_signal, e_signal,
+                                   config.error_correction_efficiency)
     return _analysis_lines_from_rates(bounds, rates)
 
 
@@ -331,8 +317,6 @@ def _read_input(reader, path):
         return reader(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except DecoyError as exc:
-        raise _InputError(str(exc)) from exc
 
 
 class _InputError(ValueError):
@@ -361,11 +345,7 @@ def _cmd_analyze(args, parser) -> int:
             parser.error("--gains-z and --gains-x are both required")
         lines = _analyze_gain_files(config, args.gains_z, args.gains_x,
                                     method)
-    for line in lines:
-        print(line)
-    if args.out:
-        _ensure_out_dir(args.out)
-        _write_lines(os.path.join(args.out, "analysis.txt"), lines)
+    _print_lines(lines, args.out, "analysis.txt")
     return EXIT_OK
 
 
@@ -379,16 +359,12 @@ def _cmd_plan(args) -> int:
     _resolve_config(args)
     plan = plan_collection(args.p_hat, args.eps, args.delta, args.rate)
     lines = [f"n_min = {plan.n_min}",
-             f"t_min_s = {_fmt(plan.t_min)}",
-             f"p_hat = {_fmt(plan.p_hat)}",
-             f"epsilon = {_fmt(plan.epsilon)}",
-             f"delta = {_fmt(plan.delta)}",
-             f"rate_cps = {_fmt(plan.rate)}"]
-    for line in lines:
-        print(line)
-    if args.out:
-        _ensure_out_dir(args.out)
-        _write_lines(os.path.join(args.out, "plan.txt"), lines)
+             f"t_min_s = {fmt(plan.t_min)}",
+             f"p_hat = {fmt(plan.p_hat)}",
+             f"epsilon = {fmt(plan.epsilon)}",
+             f"delta = {fmt(plan.delta)}",
+             f"rate_cps = {fmt(plan.rate)}"]
+    _print_lines(lines, args.out, "plan.txt")
     return EXIT_OK
 
 
@@ -425,23 +401,23 @@ def _cmd_sweep(args, parser) -> int:
         controller = replace(base.controller, **{args.param: value})
         config = replace(base, controller=controller)
         report = run_session(config)
-        for user in ("alice", "bob"):
+        for user in USERS:
             true_means = report.mean_true_theta(user)
-            est_means = report.mean_estimated_theta(user)
+            est_means, n_triggered = misalignment_digest(
+                misalignment_rows(report, user))
             z_cell = report.tallies["Z"].cell("Z", "mu", "mu")
             rows.append({
                 "param": args.param,
                 "value": repr(value),
                 "user": user,
-                "mean_true_theta_z_rad": _fmt(true_means["Z"]),
-                "mean_true_theta_x_rad": _fmt(true_means["X"]),
-                "mean_est_theta_z_rad": _fmt(est_means["Z"]),
-                "mean_est_theta_x_rad": _fmt(est_means["X"]),
-                "z_signal_qber": _fmt(
+                "mean_true_theta_z_rad": fmt(true_means["Z"]),
+                "mean_true_theta_x_rad": fmt(true_means["X"]),
+                "mean_est_theta_z_rad": fmt(est_means["Z"]),
+                "mean_est_theta_x_rad": fmt(est_means["X"]),
+                "z_signal_qber": fmt(
                     z_cell.errors / z_cell.coincidences
                     if z_cell.coincidences else None),
-                "n_triggered": sum(1 for trace in report.windows
-                                   if trace.triggered.get(user)),
+                "n_triggered": n_triggered,
             })
         print(f"{args.param} = {value}: done")
     path = os.path.join(args.out, "sweep.csv")
@@ -468,17 +444,13 @@ def _cmd_calibrate(args) -> int:
     result = fit_efficiency(target_gain=args.target_gain,
                             signal_intensity=mu, dark_prob=dark)
     lines = ["[detector]",
-             f"efficiency = {_fmt(result.detector.efficiency)}",
-             f"dark_prob = {_fmt(result.detector.dark_prob)}",
+             f"efficiency = {fmt(result.detector.efficiency)}",
+             f"dark_prob = {fmt(result.detector.dark_prob)}",
              "",
-             f"# achieved_gain = {_fmt(result.achieved_gain)}",
-             f"# target_gain = {_fmt(result.target_gain)}",
-             f"# signal_intensity = {_fmt(result.signal_intensity)}"]
-    for line in lines:
-        print(line)
-    if args.out:
-        _ensure_out_dir(args.out)
-        _write_lines(os.path.join(args.out, "detector.ini"), lines)
+             f"# achieved_gain = {fmt(result.achieved_gain)}",
+             f"# target_gain = {fmt(result.target_gain)}",
+             f"# signal_intensity = {fmt(result.signal_intensity)}"]
+    _print_lines(lines, args.out, "detector.ini")
     return EXIT_OK
 
 

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .polarization import SqueezerBank
-
-BASIS_LABELS = ("Z", "X")
+from .transmitter import BASIS_LABELS
 
 
 class CompensationError(ValueError):
@@ -269,32 +268,22 @@ def control_step(state: ControllerState, estimate: MisalignmentEstimate,
     else:
         state.steps_since_best += 1
     worsened = state.last_error is not None and error > state.last_error
-    reversed_direction = False
-    stall_escape = False
-    magnitude = min(config.alpha * error, config.max_step)
+    stall_escape = worsened and state.steps_since_best >= config.stall_patience
     if worsened:
         state.directions[state.active] *= -1
         state.reversals += 1
-        reversed_direction = True
-        if state.steps_since_best >= config.stall_patience:
-            stall_escape = True
-            state.stall_escapes += 1
-            state.steps_since_best = 0
-            state.active = (state.active + 1) % state.n_squeezers
-            delta = state.directions[state.active] * magnitude
-            saturated = bank.apply_delta(state.active, delta)
-            stepped = state.active
-        else:
-            delta = state.directions[state.active] * magnitude
-            saturated = bank.apply_delta(state.active, delta)
-            stepped = state.active
-            state.active = (state.active + 1) % state.n_squeezers
-    else:
-        delta = state.directions[state.active] * magnitude
-        saturated = bank.apply_delta(state.active, delta)
-        stepped = state.active
+    if stall_escape:
+        state.stall_escapes += 1
+        state.steps_since_best = 0
+        state.active = (state.active + 1) % state.n_squeezers
+    stepped = state.active
+    delta = state.directions[stepped] * min(config.alpha * error,
+                                            config.max_step)
+    saturated = bank.apply_delta(stepped, delta)
+    if worsened and not stall_escape:
+        state.active = (state.active + 1) % state.n_squeezers
     record = StepRecord(squeezer=stepped, delta=delta, error=error,
-                        reversed_direction=reversed_direction,
+                        reversed_direction=worsened,
                         saturated=saturated, stall_escape=stall_escape)
     state.last_error = error
     state.steps_taken += 1

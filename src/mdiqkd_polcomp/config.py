@@ -7,6 +7,10 @@ and falls back to the library default, so an empty file is a valid
 config.  Both senders share one intensity table; asymmetric tables are
 a library-level feature only.
 
+One table, ``_KEYS``, drives parsing, the unknown-section and
+unknown-key errors, and ``config_to_ini``; defaults live only in the
+library dataclasses.
+
 A ``reference-defaults`` profile encoding the published operating
 point (four-hour session, 10 MHz clock, 15 s windows, drift
 0.003 rad/s, feedback gain 0.55, trigger threshold 0.13 rad) ships
@@ -16,12 +20,14 @@ inside the package and is the implicit base when no file is given.
 from __future__ import annotations
 
 import configparser
+from dataclasses import replace
 from importlib import resources
+from operator import attrgetter
 
-from .bsm import BasisSchedule, BsmError, DetectorParams
-from .compensation import CompensationError, ControllerConfig
+from .bsm import BsmError
+from .compensation import CompensationError
 from .session import SessionConfig, SessionError
-from .transmitter import IntensityTable, TransmitterError
+from .transmitter import TransmitterError
 
 __all__ = [
     "ConfigError",
@@ -40,48 +46,44 @@ _BOOLEAN_STATES = {
     "0": False, "no": False, "false": False, "off": False,
 }
 
-# (section, key) -> (target dataclass field, converter name)
-_SCHEMA = {
-    "session": {
-        "duration_s": float,
-        "rep_rate_hz": float,
-        "seed": int,
-        "mode": str,
-        "sampling": str,
-        "compensation_enabled": bool,
-        "reference_smoothing": float,
-        "bound_method": str,
-        "error_correction_efficiency": float,
-    },
-    "intensities": {
-        "mu": float,
-        "nu": float,
-        "omega": float,
-        "p_mu": float,
-        "p_nu": float,
-        "p_omega": float,
-    },
-    "detector": {
-        "efficiency": float,
-        "dark_prob": float,
-    },
-    "schedule": {
-        "period_s": float,
-    },
-    "controller": {
-        "alpha": float,
-        "threshold": float,
-        "max_step": float,
-        "stall_patience": int,
-        "best_tolerance": float,
-    },
-    "drift": {
-        "rate_a": float,
-        "rate_b": float,
-        "initial_misalignment_a": float,
-        "initial_misalignment_b": float,
-    },
-}
+# The whole file format, one row per key: (section, key, converter,
+# SessionConfig field).  A dotted field is an attribute of a nested
+# dataclass; [intensities] sets the one table both senders share.
+# config_to_ini writes sections and keys in this order.
+_KEYS = (
+    ("session", "duration_s", float, "duration_s"),
+    ("session", "rep_rate_hz", float, "rep_rate_hz"),
+    ("session", "seed", int, "seed"),
+    ("session", "mode", str, "mode"),
+    ("session", "sampling", str, "sampling"),
+    ("session", "compensation_enabled", bool, "compensation_enabled"),
+    ("session", "reference_smoothing", float, "reference_smoothing"),
+    ("session", "bound_method", str, "bound_method"),
+    ("session", "error_correction_efficiency", float,
+     "error_correction_efficiency"),
+    ("intensities", "mu", float, "table_a.mu"),
+    ("intensities", "nu", float, "table_a.nu"),
+    ("intensities", "omega", float, "table_a.omega"),
+    ("intensities", "p_mu", float, "table_a.p_mu"),
+    ("intensities", "p_nu", float, "table_a.p_nu"),
+    ("intensities", "p_omega", float, "table_a.p_omega"),
+    ("detector", "efficiency", float, "detector.efficiency"),
+    ("detector", "dark_prob", float, "detector.dark_prob"),
+    ("schedule", "period_s", float, "schedule.period"),
+    ("controller", "alpha", float, "controller.alpha"),
+    ("controller", "threshold", float, "controller.threshold"),
+    ("controller", "max_step", float, "controller.max_step"),
+    ("controller", "stall_patience", int, "controller.stall_patience"),
+    ("controller", "best_tolerance", float, "controller.best_tolerance"),
+    ("drift", "rate_a", float, "drift_rate_a"),
+    ("drift", "rate_b", float, "drift_rate_b"),
+    ("drift", "initial_misalignment_a", float, "initial_misalignment_a"),
+    ("drift", "initial_misalignment_b", float, "initial_misalignment_b"),
+)
+# section -> key -> (converter, field)
+_SCHEMA: dict = {}
+for _section, _key, _kind, _field in _KEYS:
+    _SCHEMA.setdefault(_section, {})[_key] = (_kind, _field)
 
 
 class ConfigError(ValueError):
@@ -103,7 +105,8 @@ def _convert(section: str, key: str, raw: str, kind, source: str):
     return value
 
 
-def _parsed_sections(text: str, source: str) -> dict:
+def _parsed_fields(text: str, source: str) -> dict:
+    """{SessionConfig field: converted value} for every key in text."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
@@ -120,36 +123,28 @@ def _parsed_sections(text: str, source: str) -> dict:
                 raise ConfigError(f"{source}: unknown key {key!r} in "
                                   f"[{section}]; expected one of "
                                   f"{sorted(schema)}")
-            values[(section, key)] = _convert(section, key, raw,
-                                              schema[key], source)
+            kind, field = schema[key]
+            values[field] = _convert(section, key, raw, kind, source)
     return values
 
 
 def parse_config_text(text: str, source: str = "<config>") -> SessionConfig:
     """Build a SessionConfig from INI text; missing keys use defaults."""
-    values = _parsed_sections(text, source)
-
-    def section_kwargs(section: str, renames: dict | None = None) -> dict:
-        renames = renames or {}
-        return {renames.get(key, key): value
-                for (sec, key), value in values.items() if sec == section}
-
+    values = _parsed_fields(text, source)
+    # owner ("" for SessionConfig itself) -> {attribute: value}, in
+    # _KEYS order, so nested dataclasses validate before the session.
+    groups: dict = {}
+    for *_, field in _KEYS:
+        if field in values:
+            owner, _, name = field.rpartition(".")
+            groups.setdefault(owner, {})[name] = values[field]
+    base = SessionConfig()
     try:
-        table = IntensityTable(**section_kwargs("intensities"))
-        detector = DetectorParams(**section_kwargs("detector"))
-        schedule = BasisSchedule(**section_kwargs("schedule",
-                                                  {"period_s": "period"}))
-        controller = ControllerConfig(**section_kwargs("controller"))
-        session_kwargs = section_kwargs("session")
-        drift = section_kwargs("drift")
-        return SessionConfig(
-            table_a=table, table_b=table, detector=detector,
-            schedule=schedule, controller=controller,
-            drift_rate_a=drift.get("rate_a", 0.003),
-            drift_rate_b=drift.get("rate_b", 0.003),
-            initial_misalignment_a=drift.get("initial_misalignment_a", 0.0),
-            initial_misalignment_b=drift.get("initial_misalignment_b", 0.0),
-            **session_kwargs)
+        nested = {owner: replace(getattr(base, owner), **kwargs)
+                  for owner, kwargs in groups.items() if owner}
+        if "table_a" in nested:
+            nested["table_b"] = nested["table_a"]
+        return replace(base, **groups.get("", {}), **nested)
     except (SessionError, BsmError, CompensationError,
             TransmitterError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -195,27 +190,11 @@ def config_to_ini(config: SessionConfig) -> str:
     if config.table_a != config.table_b:
         raise ConfigError("config files cannot express asymmetric "
                           "intensity tables")
-    sources = {
-        "session": {key: getattr(config, key)
-                    for key in _SCHEMA["session"]},
-        "intensities": {key: getattr(config.table_a, key)
-                        for key in _SCHEMA["intensities"]},
-        "detector": {key: getattr(config.detector, key)
-                     for key in _SCHEMA["detector"]},
-        "schedule": {"period_s": config.schedule.period},
-        "controller": {key: getattr(config.controller, key)
-                       for key in _SCHEMA["controller"]},
-        "drift": {
-            "rate_a": config.drift_rate_a,
-            "rate_b": config.drift_rate_b,
-            "initial_misalignment_a": config.initial_misalignment_a,
-            "initial_misalignment_b": config.initial_misalignment_b,
-        },
-    }
     lines = []
-    for section, keys in sources.items():
+    for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, value in keys.items():
+        for key, (_, field) in keys.items():
+            value = attrgetter(field)(config)
             if isinstance(value, bool):
                 value = "true" if value else "false"
             lines.append(f"{key} = {value}")

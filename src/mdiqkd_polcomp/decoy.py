@@ -45,9 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .transmitter import INTENSITY_LABELS, IntensityTable
+from .transmitter import BASIS_LABELS, INTENSITY_LABELS, IntensityTable
 
-BASIS_LABELS = ("Z", "X")
 CONJUGATE_BASIS = {"Z": "X", "X": "Z"}
 TALLY_CSV_HEADER = ("basis", "intensity_A", "intensity_B",
                     "sent", "coincidences", "errors")
@@ -190,25 +189,40 @@ class TallySet:
     @classmethod
     def read_csv(cls, path) -> "TallySet":
         tallies = cls()
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != TALLY_CSV_HEADER:
-                raise DecoyError(f"bad tally CSV header in {path}: {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(TALLY_CSV_HEADER):
-                    raise DecoyError(f"bad tally CSV row in {path}: {row}")
-                basis, ia, ib = row[0], row[1], row[2]
-                try:
-                    sent, coincidences, errors = (int(row[3]), int(row[4]),
-                                                  int(row[5]))
-                except ValueError as exc:
-                    raise DecoyError(f"non-integer tally counts in {path}: "
-                                     f"{row}") from exc
-                tallies.record(basis, ia, ib, sent, coincidences, errors)
+        for basis, ia, ib, counts in _table_rows(path, TALLY_CSV_HEADER,
+                                                 int, "tally"):
+            tallies.record(basis, ia, ib, *counts)
         return tallies
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _table_rows(path, header: tuple, convert, what: str):
+    """Yield (basis, intensity_a, intensity_b, values) per CSV row.
+
+    A wrong header or column count, an unknown label, or a value that
+    `convert` rejects raises DecoyError naming the file and the row.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found is None or tuple(found) != header:
+            raise DecoyError(f"bad {what} CSV header in {path}: {found}")
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise DecoyError(f"bad {what} CSV row in {path}: {row}")
+            try:
+                _cell_index(*row[:3])
+                values = [convert(cell) for cell in row[3:]]
+            except (DecoyError, ValueError) as exc:
+                raise DecoyError(f"bad {what} CSV row in {path}: {row}: "
+                                 f"{exc}") from exc
+            yield (*row[:3], values)
 
 
 @dataclass
@@ -238,36 +252,22 @@ class GainGrid:
 
 
 def read_gain_csv(path) -> dict:
-    """Load published-style gain tables: one GainGrid per preparation basis."""
+    """Load published-style gain tables: one GainGrid per preparation basis.
+
+    Every value must be a finite number.
+    """
     n = len(INTENSITY_LABELS)
-    index = {label: i for i, label in enumerate(INTENSITY_LABELS)}
     data = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != GAIN_CSV_HEADER:
-            raise DecoyError(f"bad gain CSV header in {path}: {header}")
-        for row in reader:
-            if not row:
-                continue
-            basis = row[0]
-            if basis not in BASIS_LABELS:
-                raise DecoyError(f"unknown basis {basis!r} in {path}")
-            grid = data.setdefault(basis, {name: np.zeros((n, n)) for name in
-                                           ("q", "qs", "e", "es")})
-            i, j = index[row[1]], index[row[2]]
-            grid["q"][i, j] = float(row[3])
-            grid["qs"][i, j] = float(row[4])
-            grid["e"][i, j] = float(row[5])
-            grid["es"][i, j] = float(row[6])
+    for basis, ia, ib, values in _table_rows(path, GAIN_CSV_HEADER,
+                                             _finite_float, "gain"):
+        _, i, j = _cell_index(basis, ia, ib)
+        data.setdefault(basis, np.zeros((4, n, n)))[:, i, j] = values
     grids = {}
-    for basis, grid in data.items():
-        eq = grid["e"] * grid["q"]
+    for basis, (q, q_sigma, e, e_sigma) in data.items():
         # Propagate independent gain and error-rate uncertainties.
-        eq_sigma = np.sqrt((grid["e"] * grid["qs"]) ** 2
-                           + (grid["q"] * grid["es"]) ** 2)
-        grids[basis] = GainGrid(q=grid["q"], q_sigma=grid["qs"],
-                                eq=eq, eq_sigma=eq_sigma)
+        grids[basis] = GainGrid(q=q, q_sigma=q_sigma, eq=e * q,
+                                eq_sigma=np.sqrt((e * q_sigma) ** 2
+                                                 + (q * e_sigma) ** 2))
     return grids
 
 

@@ -204,7 +204,7 @@ def random_misalignment(mean_angle: float, seed) -> np.ndarray:
 
 @dataclass
 class SqueezerBank:
-    """Four variable retarders with fixed, alternating Stokes axes.
+    """Four variable retarders on DEFAULT_SQUEEZER_AXES.
 
     Retardances are clamped to +/- RETARDANCE_LIMIT; a clamped adjustment
     is reported as saturation so the controller can advance to the next
@@ -213,16 +213,12 @@ class SqueezerBank:
 
     retardances: np.ndarray = field(
         default_factory=lambda: np.zeros(len(DEFAULT_SQUEEZER_AXES)))
-    axes: np.ndarray = field(
-        default_factory=lambda: DEFAULT_SQUEEZER_AXES.copy())
-    limit: float = RETARDANCE_LIMIT
 
     def __post_init__(self):
         self.retardances = np.asarray(self.retardances, dtype=float).copy()
-        self.axes = np.asarray(self.axes, dtype=float)
-        if self.axes.shape != (len(self.retardances), 3):
-            raise PolarizationError("axes must be one Stokes vector per squeezer")
-        if not np.all(np.abs(self.retardances) <= self.limit):
+        if self.retardances.shape != (len(DEFAULT_SQUEEZER_AXES),):
+            raise PolarizationError("need one retardance per squeezer axis")
+        if not np.all(np.abs(self.retardances) <= RETARDANCE_LIMIT):
             raise PolarizationError("initial retardance outside limit")
 
     def __len__(self) -> int:
@@ -236,7 +232,7 @@ class SqueezerBank:
         if not 0 <= index < len(self):
             raise PolarizationError(f"squeezer index {index} out of range")
         target = self.retardances[index] + delta
-        clamped = float(np.clip(target, -self.limit, self.limit))
+        clamped = float(np.clip(target, -RETARDANCE_LIMIT, RETARDANCE_LIMIT))
         self.retardances[index] = clamped
         return clamped != target
 
@@ -252,11 +248,8 @@ def squeezer_unitary(bank) -> np.ndarray:
     the retardances it receives after checking their count and range.
     """
     if isinstance(bank, SqueezerBank):
-        axes = [_unit_axis(axis) for axis in bank.axes]
-        retardances = bank.retardances.tolist()
-    else:
-        axes, retardances = _DEFAULT_UNIT_AXES, bank
+        bank = bank.retardances.tolist()
     unitary = IDENTITY
-    for axis, retardance in zip(axes, retardances):
+    for axis, retardance in zip(_DEFAULT_UNIT_AXES, bank):
         unitary = _rotation(*axis, retardance) @ unitary
     return unitary

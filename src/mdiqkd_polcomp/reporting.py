@@ -15,9 +15,12 @@ A run directory contains:
 - ``summary.txt``        — INI-style digest of bounds, rates, QBER, and
   mean misalignment.
 
-Every number in the summary is recomputable from the emitted tables;
-``recompute_summary`` re-derives the identical bytes from the manifest
-plus CSVs, which is how the no-hidden-state property is tested.
+``ARTIFACT_NAMES`` maps artifact roles to file names.  One builder
+writes ``summary.txt`` from (tallies, bounds, rates, misalignment rows):
+``summary_text`` takes them from a session report, ``recompute_summary``
+from the run directory alone, which is how the no-hidden-state property
+is tested.  Per-user means and trigger counts come from the rows, and
+every number is written by ``fmt``.
 """
 
 from __future__ import annotations
@@ -28,18 +31,24 @@ from dataclasses import dataclass
 
 from . import __version__
 from .decoy import TallySet
-from .session import SessionConfig, SessionReport, analyze_tallies
+from .session import USERS, SessionConfig, SessionReport, analyze_tallies
+from .transmitter import BASIS_LABELS
 
 __all__ = [
     "ReportingError",
     "RunManifest",
     "MANIFEST_NAME",
     "MISALIGNMENT_CSV_HEADER",
-    "OUTPUT_NAMES",
+    "ARTIFACT_NAMES",
+    "fmt",
+    "half_section",
+    "rate_line",
+    "rated_values",
     "build_manifest",
     "write_manifest",
     "read_manifest",
     "misalignment_rows",
+    "misalignment_digest",
     "write_misalignment_csv",
     "read_misalignment_csv",
     "emit_traces",
@@ -50,10 +59,14 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 MISALIGNMENT_CSV_HEADER = ("time_s", "theta_z_rad", "theta_x_rad",
                            "triggered")
-USERS = ("alice", "bob")
-HALVES = ("Z", "X")
-OUTPUT_NAMES = ("misalignment_alice.csv", "misalignment_bob.csv",
-                "tallies_z.csv", "tallies_x.csv", "summary.txt")
+# Artifact role -> file name inside the run directory, in writing order.
+ARTIFACT_NAMES = {
+    "misalignment_alice": "misalignment_alice.csv",
+    "misalignment_bob": "misalignment_bob.csv",
+    "tallies_z": "tallies_z.csv",
+    "tallies_x": "tallies_x.csv",
+    "summary": "summary.txt",
+}
 _MANIFEST_FORMAT = 1
 
 
@@ -94,16 +107,10 @@ def build_manifest(config: SessionConfig) -> RunManifest:
     """Manifest for a run of `config`, listing the standard outputs."""
     from .config import config_to_ini
 
-    outputs = {
-        "misalignment_alice": "misalignment_alice.csv",
-        "misalignment_bob": "misalignment_bob.csv",
-        "tallies_z": "tallies_z.csv",
-        "tallies_x": "tallies_x.csv",
-        "summary": "summary.txt",
-    }
     return RunManifest(config_ini=config_to_ini(config), seed=config.seed,
                        code_version=__version__, virtual_start_s=0.0,
-                       virtual_stop_s=config.duration_s, outputs=outputs)
+                       virtual_stop_s=config.duration_s,
+                       outputs=dict(ARTIFACT_NAMES))
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
@@ -169,9 +176,7 @@ def read_misalignment_csv(path) -> list:
             if header is None or tuple(header) != MISALIGNMENT_CSV_HEADER:
                 raise ReportingError(f"bad misalignment CSV header in "
                                      f"{path}: {header}")
-            for row in reader:
-                if not row:
-                    continue
+            for row in filter(None, reader):
                 if len(row) != len(MISALIGNMENT_CSV_HEADER):
                     raise ReportingError(f"bad misalignment CSV row in "
                                          f"{path}: {row}")
@@ -186,64 +191,80 @@ def read_misalignment_csv(path) -> list:
     return rows
 
 
+def misalignment_digest(rows) -> tuple:
+    """({"Z": mean, "X": mean}, n_triggered) of one user's trace rows;
+    a basis mean is None when no window carries an estimate for it."""
+    means = {}
+    for basis, column in (("Z", 1), ("X", 2)):
+        values = [row[column] for row in rows if row[column] is not None]
+        means[basis] = sum(values) / len(values) if values else None
+    return means, sum(1 for row in rows if row[3])
+
+
 # ---------------------------------------------------------------------------
 # Summary
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        # Coerce numpy scalars so the repr is the plain number.
-        return repr(float(value))
-    return str(value)
+def fmt(value) -> str:
+    """A number as written in every text output: repr of a float, or none."""
+    return "none" if value is None else repr(float(value))
 
 
-def _summary_from_parts(n_windows: int, tallies: dict, bounds: dict,
-                        rates: dict, theta_means: dict,
-                        trigger_counts: dict) -> str:
+def rated_values(half: str, bounds: dict, rates: dict) -> tuple:
+    """(Y11 lower, e11 upper, key rate) of one half, None where absent."""
+    half_bounds, half_rate = bounds.get(half), rates.get(half)
+    rate = None if half_rate is None else half_rate.rate
+    if half_bounds is None:
+        return None, None, rate
+    return half_bounds.y11_lower[half], half_bounds.e11_upper, rate
+
+
+def half_section(half: str, y11_lower, e11_upper, rate, head=(),
+                 tail=()) -> list:
+    """One [half_<basis>] section: head, bound and rate lines, tail."""
+    return [f"[half_{half.lower()}]", *head,
+            f"y11_lower = {fmt(y11_lower)}",
+            f"e11_upper = {fmt(e11_upper)}",
+            rate_line(rate), *tail, ""]
+
+
+def rate_line(rate) -> str:
+    return f"key_rate_bits_per_pulse = {fmt(rate)}"
+
+
+def _summary(tallies: dict, bounds: dict, rates: dict, rows: dict) -> str:
+    """summary.txt from the tallies, their analysis and each user's rows."""
+    n_windows = {len(user_rows) for user_rows in rows.values()}
+    if len(n_windows) != 1:
+        raise ReportingError("misalignment traces disagree on the window "
+                             "count")
     lines = ["[run]",
              f"manifest = {MANIFEST_NAME}",
-             f"n_windows = {n_windows}",
+             f"n_windows = {n_windows.pop()}",
              ""]
-    for half in HALVES:
+    for half in BASIS_LABELS:
         cell = tallies[half].cell(half, "mu", "mu")
         qber = (cell.errors / cell.coincidences if cell.coincidences
                 else None)
-        half_bounds = bounds.get(half)
-        half_rate = rates.get(half)
-        lines += [f"[half_{half.lower()}]",
-                  f"n_sifted = {cell.coincidences}",
-                  f"n_errors = {cell.errors}",
-                  f"signal_qber = {_fmt(qber)}"]
-        if half_bounds is None:
-            lines += ["y11_lower = none", "e11_upper = none"]
-        else:
-            lines += [f"y11_lower = {_fmt(half_bounds.y11_lower[half])}",
-                      f"e11_upper = {_fmt(half_bounds.e11_upper)}"]
-        rate = None if half_rate is None else half_rate.rate
-        lines += [f"key_rate_bits_per_pulse = {_fmt(rate)}", ""]
+        lines += half_section(half, *rated_values(half, bounds, rates),
+                              head=[f"n_sifted = {cell.coincidences}",
+                                    f"n_errors = {cell.errors}",
+                                    f"signal_qber = {fmt(qber)}"])
     for user in USERS:
-        means = theta_means[user]
+        means, n_triggered = misalignment_digest(rows[user])
         lines += [f"[{user}]",
-                  f"mean_theta_z_rad = {_fmt(means['Z'])}",
-                  f"mean_theta_x_rad = {_fmt(means['X'])}",
-                  f"n_triggered = {trigger_counts[user]}",
+                  f"mean_theta_z_rad = {fmt(means['Z'])}",
+                  f"mean_theta_x_rad = {fmt(means['X'])}",
+                  f"n_triggered = {n_triggered}",
                   ""]
     return "\n".join(lines)
 
 
 def summary_text(report: SessionReport) -> str:
     """Human-readable digest; every number re-derivable from the CSVs."""
-    theta_means = {user: report.mean_estimated_theta(user) for user in USERS}
-    triggers = {user: sum(1 for trace in report.windows
-                          if trace.triggered.get(user))
-                for user in USERS}
-    return _summary_from_parts(len(report.windows), report.tallies,
-                               report.bounds, report.rates, theta_means,
-                               triggers)
+    return _summary(report.tallies, report.bounds, report.rates,
+                    {user: misalignment_rows(report, user)
+                     for user in USERS})
 
 
 def recompute_summary(run_dir) -> str:
@@ -259,30 +280,16 @@ def recompute_summary(run_dir) -> str:
 
     manifest = read_manifest(os.path.join(run_dir, MANIFEST_NAME))
     config = parse_config_text(manifest.config_ini, source="manifest")
-    tallies = {}
-    for half in HALVES:
-        name = manifest.outputs[f"tallies_{half.lower()}"]
-        tallies[half] = _read_tallies(os.path.join(run_dir, name))
+
+    def path(role: str) -> str:
+        return os.path.join(run_dir, manifest.outputs[role])
+
+    tallies = {half: _read_tallies(path(f"tallies_{half.lower()}"))
+               for half in BASIS_LABELS}
     bounds, rates = analyze_tallies(config, tallies)
-    theta_means = {}
-    trigger_counts = {}
-    n_windows = None
-    for user in USERS:
-        name = manifest.outputs[f"misalignment_{user}"]
-        rows = read_misalignment_csv(os.path.join(run_dir, name))
-        if n_windows is None:
-            n_windows = len(rows)
-        elif n_windows != len(rows):
-            raise ReportingError("misalignment traces disagree on the "
-                                 "window count")
-        means = {}
-        for basis, column in (("Z", 1), ("X", 2)):
-            values = [row[column] for row in rows if row[column] is not None]
-            means[basis] = sum(values) / len(values) if values else None
-        theta_means[user] = means
-        trigger_counts[user] = sum(1 for row in rows if row[3])
-    return _summary_from_parts(n_windows or 0, tallies, bounds, rates,
-                               theta_means, trigger_counts)
+    rows = {user: read_misalignment_csv(path(f"misalignment_{user}"))
+            for user in USERS}
+    return _summary(tallies, bounds, rates, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +304,18 @@ def emit_traces(report: SessionReport, out_dir) -> dict:
     """
     import os
 
-    paths = {}
+    paths = {role: os.path.join(out_dir, name)
+             for role, name in ARTIFACT_NAMES.items()}
     for user in USERS:
-        path = os.path.join(out_dir, f"misalignment_{user}.csv")
-        write_misalignment_csv(path, misalignment_rows(report, user))
-        paths[f"misalignment_{user}"] = path
-    for half in HALVES:
-        path = os.path.join(out_dir, f"tallies_{half.lower()}.csv")
+        write_misalignment_csv(paths[f"misalignment_{user}"],
+                               misalignment_rows(report, user))
+    for half in BASIS_LABELS:
+        path = paths[f"tallies_{half.lower()}"]
         try:
             report.tallies[half].write_csv(path)
         except OSError as exc:
             raise ReportingError(f"cannot write {path}: {exc}") from exc
-        paths[f"tallies_{half.lower()}"] = path
-    summary_path = os.path.join(out_dir, "summary.txt")
-    _write_text(summary_path, summary_text(report))
-    paths["summary"] = summary_path
+    _write_text(paths["summary"], summary_text(report))
     return paths
 
 

@@ -171,17 +171,6 @@ class SessionReport:
     rates: dict
     final_retardances: dict
 
-    def mean_estimated_theta(self, user: str) -> dict:
-        """Average estimated misalignment per basis for one user."""
-        sums = {"Z": [0.0, 0], "X": [0.0, 0]}
-        for trace in self.windows:
-            est = trace.est_theta.get(user)
-            if est is not None:
-                sums[trace.meas_basis][0] += est
-                sums[trace.meas_basis][1] += 1
-        return {basis: (total / n if n else None)
-                for basis, (total, n) in sums.items()}
-
     def mean_true_theta(self, user: str) -> dict:
         """Average ground-truth misalignment per basis for one user."""
         sums = {"Z": 0.0, "X": 0.0}

@@ -161,12 +161,44 @@ def test_analyze_missing_input_file_exits_with_input_code(capsys):
                  "--tallies-x", "/absent/x.csv"]) == EXIT_INPUT
 
 
-def test_analyze_malformed_input_exits_with_input_code(tmp_path, capsys):
+def _published_gains_with(row: str) -> str:
+    """The bundled Z-half gain table with its Z mu-nu row replaced."""
+    from importlib import resources
+
+    good = "Z,mu,nu,8.06e-6,0.13e-6,0.060,0.004"
+    text = (resources.files("mdiqkd_polcomp.data") / "tables"
+            / "published_gains_meas_z.csv").read_text(encoding="utf-8")
+    assert good in text
+    return text.replace(good, row)
+
+
+@pytest.mark.parametrize("kind, text, match", [
+    ("tallies", "not,a,tally,table\n1,2,3,4\n", "header"),
+    ("gains", _published_gains_with("Y,mu,nu,8.06e-6,0.13e-6,0.060,0.004"),
+     "unknown basis 'Y'"),
+    ("gains", _published_gains_with("Z,mu,zeta,8.06e-6,0.13e-6,0.060,0.004"),
+     "unknown intensity pair"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,0.060"),
+     "bad gain CSV row"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,0.060,0.004,1"),
+     "bad gain CSV row"),
+    ("gains", _published_gains_with("Z,mu,nu,bright,0.13e-6,0.060,0.004"),
+     "could not convert"),
+    ("gains", _published_gains_with("Z,mu,nu,nan,0.13e-6,0.060,0.004"),
+     "non-finite"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,inf,0.004"),
+     "non-finite"),
+], ids=["tally-header", "gain-basis", "gain-intensity", "gain-short-row",
+        "gain-long-row", "gain-non-numeric", "gain-nan", "gain-inf"])
+def test_analyze_malformed_input_exits_with_input_code(tmp_path, capsys,
+                                                       kind, text, match):
     bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,tally,table\n1,2,3,4\n", encoding="utf-8")
-    assert main(["analyze", "--tallies-z", str(bad),
-                 "--tallies-x", str(bad)]) == EXIT_INPUT
-    assert "header" in capsys.readouterr().err
+    bad.write_text(text, encoding="utf-8")
+    assert main(["analyze", f"--{kind}-z", str(bad),
+                 f"--{kind}-x", str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert match in err
+    assert f"{bad}:" in err  # the file, then the header or row
 
 
 def test_analyze_writes_analysis_txt(tmp_path, capsys):

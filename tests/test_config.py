@@ -11,6 +11,49 @@ from mdiqkd_polcomp.config import (ConfigError, DEFAULT_PROFILE,
 from mdiqkd_polcomp.session import SessionConfig
 from mdiqkd_polcomp.transmitter import IntensityTable
 
+# Every section and key, each set away from its library default except
+# mode: the networked mode needs aggregate sampling.
+EVERY_KEY_INI = """
+[session]
+duration_s = 45
+rep_rate_hz = 2e6
+seed = 11
+mode = in-process
+sampling = per-slot
+compensation_enabled = no
+reference_smoothing = 0.5
+bound_method = lp
+error_correction_efficiency = 1.2
+
+[intensities]
+mu = 0.3
+nu = 0.08
+omega = 0.002
+p_mu = 0.5
+p_nu = 0.3
+p_omega = 0.2
+
+[detector]
+efficiency = 0.1
+dark_prob = 1e-6
+
+[schedule]
+period_s = 10
+
+[controller]
+alpha = 0.4
+threshold = 0.2
+max_step = 0.3
+stall_patience = 4
+best_tolerance = 1e-3
+
+[drift]
+rate_a = 0.001
+rate_b = 0.002
+initial_misalignment_a = 0.05
+initial_misalignment_b = 0.06
+"""
+
 
 def test_default_profile_is_bundled():
     assert DEFAULT_PROFILE in available_profiles()
@@ -51,47 +94,7 @@ def test_partial_file_overrides_only_named_keys():
 
 
 def test_every_section_and_key_is_settable():
-    text = """
-[session]
-duration_s = 45
-rep_rate_hz = 2e6
-seed = 11
-mode = in-process
-sampling = per-slot
-compensation_enabled = no
-reference_smoothing = 0.5
-bound_method = lp
-error_correction_efficiency = 1.2
-
-[intensities]
-mu = 0.3
-nu = 0.08
-omega = 0.002
-p_mu = 0.5
-p_nu = 0.3
-p_omega = 0.2
-
-[detector]
-efficiency = 0.1
-dark_prob = 1e-6
-
-[schedule]
-period_s = 10
-
-[controller]
-alpha = 0.4
-threshold = 0.2
-max_step = 0.3
-stall_patience = 4
-best_tolerance = 1e-3
-
-[drift]
-rate_a = 0.001
-rate_b = 0.002
-initial_misalignment_a = 0.05
-initial_misalignment_b = 0.06
-"""
-    config = parse_config_text(text)
+    config = parse_config_text(EVERY_KEY_INI)
     assert config.duration_s == 45.0
     assert config.rep_rate_hz == 2e6
     assert config.seed == 11
@@ -177,7 +180,8 @@ def test_ini_round_trip_preserves_every_field():
     for config in (load_profile(),
                    SessionConfig(),
                    parse_config_text("[session]\nsampling = per-slot\n"
-                                     "[drift]\nrate_a = 0.007\n")):
+                                     "[drift]\nrate_a = 0.007\n"),
+                   parse_config_text(EVERY_KEY_INI)):
         assert parse_config_text(config_to_ini(config)) == config
 
 

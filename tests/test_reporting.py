@@ -160,9 +160,18 @@ def test_summary_is_valid_ini_and_matches_the_report(small_report, run_dir):
     assert int(parser["half_z"]["n_sifted"]) == z_cell.coincidences
     assert int(parser["half_z"]["n_errors"]) == z_cell.errors
     for user in ("alice", "bob"):
-        means = small_report.mean_estimated_theta(user)
-        assert float(parser[user]["mean_theta_z_rad"]) == means["Z"]
-        assert float(parser[user]["mean_theta_x_rad"]) == means["X"]
+        for basis in ("Z", "X"):
+            # Windows measure one basis each; a window without reference
+            # counts carries no estimate.
+            estimates = [trace.est_theta[user]
+                         for trace in small_report.windows
+                         if trace.meas_basis == basis
+                         and trace.est_theta.get(user) is not None]
+            assert estimates
+            key = f"mean_theta_{basis.lower()}_rad"
+            assert float(parser[user][key]) == sum(estimates) / len(estimates)
+        assert int(parser[user]["n_triggered"]) == sum(
+            bool(trace.triggered[user]) for trace in small_report.windows)
 
 
 def test_summary_rates_match_the_report(small_report, run_dir):

@@ -16,6 +16,7 @@ from mdiqkd_polcomp.compensation import ControllerConfig
 from mdiqkd_polcomp.nodes import CharlieNode, UserNode, run_in_process
 from mdiqkd_polcomp.polarization import (RETARDANCE_LIMIT,
                                          rotation_about_stokes_axis)
+from mdiqkd_polcomp.reporting import misalignment_digest, misalignment_rows
 from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
                                     SessionFailure, recycle_singles, run_session,
                                     sample_window_slots, sift, user_reveals)
@@ -270,7 +271,8 @@ def test_zero_duration_session_is_empty_but_well_formed():
     assert report.windows == []
     assert report.sifted["Z"].n_sifted == 0
     assert report.rates == {"Z": None, "X": None}
-    assert report.mean_estimated_theta("alice") == {"Z": None, "X": None}
+    assert misalignment_digest(misalignment_rows(report, "alice")) \
+        == ({"Z": None, "X": None}, 0)
     assert report.mean_true_theta("bob") == {"Z": None, "X": None}
 
 

@@ -263,19 +263,18 @@ def _analyze_published(config, method: str) -> list:
     this package's bounding backends extract from the same gain
     tables (known to be looser — see the decoy module).
     """
-    table = config.table_a
     lines = ["# published_* values come from the bundled dataset;",
              "# own_* bounds are recomputed from its gain tables.",
              ""]
     rates = []
     for half in BASIS_LABELS:
         grids, summary = load_reference_half(half)
-        own = bound_y11_e11(grids, table, half, method=method)
+        own = bound_y11_e11(grids, config.table, half, method=method)
         q_signal = float(grids[half].q[0, 0])
         e_signal = float(grids[half].eq[0, 0] / q_signal)
         published_y11 = summary[f"y11_lower_{half.lower()}"]
-        rate = key_rate(p11(table.mu), published_y11, summary["e11_upper"],
-                        q_signal, e_signal,
+        rate = key_rate(p11(config.table.mu), published_y11,
+                        summary["e11_upper"], q_signal, e_signal,
                         config.error_correction_efficiency)
         rates.append(rate.rate)
         lines += half_section(
@@ -295,17 +294,16 @@ def _analyze_tally_files(config, path_z, path_x) -> list:
 
 
 def _analyze_gain_files(config, path_z, path_x, method: str) -> list:
-    table = config.table_a
     bounds: dict = {}
     rates: dict = {}
     for half, path in zip(BASIS_LABELS, (path_z, path_x)):
         grids = _read_input(read_gain_csv, path)
-        half_bounds = bound_y11_e11(grids, table, half, method=method)
+        half_bounds = bound_y11_e11(grids, config.table, half, method=method)
         bounds[half], rates[half] = half_bounds, None
         q_signal = float(grids[half].q[0, 0])
         if q_signal > 0.0:
             e_signal = float(grids[half].eq[0, 0] / q_signal)
-            rates[half] = key_rate(p11(table.mu),
+            rates[half] = key_rate(p11(config.table.mu),
                                    half_bounds.y11_lower[half],
                                    half_bounds.e11_upper, q_signal, e_signal,
                                    config.error_correction_efficiency)
@@ -439,7 +437,7 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _resolve_config(args)
-    mu = args.mu if args.mu is not None else config.table_a.mu
+    mu = args.mu if args.mu is not None else config.table.mu
     dark = args.dark if args.dark is not None else config.detector.dark_prob
     result = fit_efficiency(target_gain=args.target_gain,
                             signal_intensity=mu, dark_prob=dark)

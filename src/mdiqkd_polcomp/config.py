@@ -4,8 +4,8 @@ Config files are UTF-8 ``key = value`` text with section headers,
 parsed strictly: unknown sections, unknown keys, and malformed values
 are errors that name the offending location.  Every key is optional
 and falls back to the library default, so an empty file is a valid
-config.  Both senders share one intensity table; asymmetric tables are
-a library-level feature only.
+config.  Both senders share the one intensity table that
+``[intensities]`` sets.
 
 One table, ``_KEYS``, drives parsing, the unknown-section and
 unknown-key errors, and ``config_to_ini``; defaults live only in the
@@ -48,7 +48,7 @@ _BOOLEAN_STATES = {
 
 # The whole file format, one row per key: (section, key, converter,
 # SessionConfig field).  A dotted field is an attribute of a nested
-# dataclass; [intensities] sets the one table both senders share.
+# dataclass; [intensities] sets the table both senders share.
 # config_to_ini writes sections and keys in this order.
 _KEYS = (
     ("session", "duration_s", float, "duration_s"),
@@ -61,12 +61,12 @@ _KEYS = (
     ("session", "bound_method", str, "bound_method"),
     ("session", "error_correction_efficiency", float,
      "error_correction_efficiency"),
-    ("intensities", "mu", float, "table_a.mu"),
-    ("intensities", "nu", float, "table_a.nu"),
-    ("intensities", "omega", float, "table_a.omega"),
-    ("intensities", "p_mu", float, "table_a.p_mu"),
-    ("intensities", "p_nu", float, "table_a.p_nu"),
-    ("intensities", "p_omega", float, "table_a.p_omega"),
+    ("intensities", "mu", float, "table.mu"),
+    ("intensities", "nu", float, "table.nu"),
+    ("intensities", "omega", float, "table.omega"),
+    ("intensities", "p_mu", float, "table.p_mu"),
+    ("intensities", "p_nu", float, "table.p_nu"),
+    ("intensities", "p_omega", float, "table.p_omega"),
     ("detector", "efficiency", float, "detector.efficiency"),
     ("detector", "dark_prob", float, "detector.dark_prob"),
     ("schedule", "period_s", float, "schedule.period"),
@@ -142,8 +142,6 @@ def parse_config_text(text: str, source: str = "<config>") -> SessionConfig:
     try:
         nested = {owner: replace(getattr(base, owner), **kwargs)
                   for owner, kwargs in groups.items() if owner}
-        if "table_a" in nested:
-            nested["table_b"] = nested["table_a"]
         return replace(base, **groups.get("", {}), **nested)
     except (SessionError, BsmError, CompensationError,
             TransmitterError) as exc:
@@ -183,13 +181,7 @@ def load_profile(name: str = DEFAULT_PROFILE) -> SessionConfig:
 
 
 def config_to_ini(config: SessionConfig) -> str:
-    """Serialize a SessionConfig to INI text (inverse of parse_config_text).
-
-    Asymmetric intensity tables cannot be expressed in a config file.
-    """
-    if config.table_a != config.table_b:
-        raise ConfigError("config files cannot express asymmetric "
-                          "intensity tables")
+    """Serialize a SessionConfig to INI text (inverse of parse_config_text)."""
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")

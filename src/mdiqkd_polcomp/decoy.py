@@ -24,7 +24,7 @@ Two bounding backends are provided:
   e_11 <= W_nu / ((nu-w)^2 Y_11^L).
 
 - lp: linear program over yields {Y_nm} and error-weighted yields
-  {Z_nm = e_nm Y_nm}, n, m <= n_cut, with each observed gain bracketing
+  {Z_nm = e_nm Y_nm}, n, m <= N_CUT, with each observed gain bracketing
   its truncated Poisson mixture within the statistical uncertainty plus
   the truncation tail and LP_FEASIBILITY_TOLERANCE.  Infeasible tallies
   raise a diagnostic naming the most violated constraint.
@@ -41,6 +41,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,8 @@ TALLY_CSV_HEADER = ("basis", "intensity_A", "intensity_B",
                     "sent", "coincidences", "errors")
 GAIN_CSV_HEADER = ("basis", "intensity_A", "intensity_B",
                    "gain", "gain_sigma", "qber", "qber_sigma")
-DEFAULT_N_CUT = 7
+# Photon numbers n, m <= N_CUT enter the LP; the rest is its tail.
+N_CUT = 7
 # Every LP gain window is widened by this much on both sides.  This
 # simulator's own tallies miss the unwidened windows by 1e-11 to 1e-9
 # (a cell observed at zero has a window of width 1e-19), while the
@@ -189,9 +191,9 @@ class TallySet:
     @classmethod
     def read_csv(cls, path) -> "TallySet":
         tallies = cls()
-        for basis, ia, ib, counts in _table_rows(path, TALLY_CSV_HEADER,
-                                                 int, "tally"):
-            tallies.record(basis, ia, ib, *counts)
+        for cell, counts in _table_rows(path, TALLY_CSV_HEADER, int, "tally",
+                                        BASIS_LABELS).items():
+            tallies.record(*cell, *counts)
         return tallies
 
 
@@ -202,12 +204,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _table_rows(path, header: tuple, convert, what: str):
-    """Yield (basis, intensity_a, intensity_b, values) per CSV row.
+def _table_rows(path, header: tuple, convert, what: str,
+                bases=None) -> dict:
+    """{(basis, intensity_a, intensity_b): values} of a CSV table.
 
     A wrong header or column count, an unknown label, or a value that
     `convert` rejects raises DecoyError naming the file and the row.
+    The table must hold each cell once, and every intensity pair of
+    each of `bases` (default: of each basis it names); a duplicated or
+    missing cell raises DecoyError naming the file and the cell.
     """
+    rows: dict = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, None)
@@ -222,7 +229,17 @@ def _table_rows(path, header: tuple, convert, what: str):
             except (DecoyError, ValueError) as exc:
                 raise DecoyError(f"bad {what} CSV row in {path}: {row}: "
                                  f"{exc}") from exc
-            yield (*row[:3], values)
+            cell = tuple(row[:3])
+            if cell in rows:
+                raise DecoyError(f"duplicated {what} CSV cell in {path}: "
+                                 f"{','.join(cell)}")
+            rows[cell] = values
+    named = {cell[0] for cell in rows} if bases is None else bases
+    for cell in product(BASIS_LABELS, INTENSITY_LABELS, INTENSITY_LABELS):
+        if cell[0] in named and cell not in rows:
+            raise DecoyError(f"missing {what} CSV cell in {path}: "
+                             f"{','.join(cell)}")
+    return rows
 
 
 @dataclass
@@ -254,14 +271,15 @@ class GainGrid:
 def read_gain_csv(path) -> dict:
     """Load published-style gain tables: one GainGrid per preparation basis.
 
-    Every value must be a finite number.
+    Every value must be a finite number, and each basis the file names
+    must have all of its intensity pairs.
     """
     n = len(INTENSITY_LABELS)
     data = {}
-    for basis, ia, ib, values in _table_rows(path, GAIN_CSV_HEADER,
-                                             _finite_float, "gain"):
-        _, i, j = _cell_index(basis, ia, ib)
-        data.setdefault(basis, np.zeros((4, n, n)))[:, i, j] = values
+    for cell, values in _table_rows(path, GAIN_CSV_HEADER, _finite_float,
+                                    "gain").items():
+        _, i, j = _cell_index(*cell)
+        data.setdefault(cell[0], np.zeros((4, n, n)))[:, i, j] = values
     grids = {}
     for basis, (q, q_sigma, e, e_sigma) in data.items():
         # Propagate independent gain and error-rate uncertainties.
@@ -388,17 +406,13 @@ def analytic_e11_upper(grid: GainGrid, table: IntensityTable,
 # Linear-program bounds
 # ---------------------------------------------------------------------------
 
-def _poisson_vector(mean: float, n_cut: int) -> np.ndarray:
-    return np.array([poisson_pmf(k, mean) for k in range(n_cut + 1)])
-
-
-def _lp_system(grid: GainGrid, table: IntensityTable, n_cut: int,
-               shift_sigmas: float):
+def _lp_system(grid: GainGrid, table: IntensityTable, shift_sigmas: float):
     """Inequality system A x <= b over x = [Y_nm..., Z_nm...]."""
     intensities = [table.mu, table.nu, table.omega]
-    size = (n_cut + 1) ** 2
+    size = (N_CUT + 1) ** 2
     rows_a, rows_b, labels = [], [], []
-    pmf = {a: _poisson_vector(a, n_cut) for a in intensities}
+    pmf = {a: np.array([poisson_pmf(k, a) for k in range(N_CUT + 1)])
+           for a in intensities}
     for i, a in enumerate(intensities):
         for j, b in enumerate(intensities):
             weights = np.outer(pmf[a], pmf[b]).ravel()
@@ -466,13 +480,11 @@ def _lp_extreme(a_ub, b_ub, labels, size, index, maximize):
     return min(max(value, 0.0), 1.0)
 
 
-def lp_bounds(grid: GainGrid, table: IntensityTable, n_cut: int = DEFAULT_N_CUT,
+def lp_bounds(grid: GainGrid, table: IntensityTable,
               shift_sigmas: float = 1.0) -> tuple:
     """(Y_11 lower, Z_11 upper) from the truncated Poisson system."""
-    if n_cut < 1:
-        raise DecoyError("n_cut must be at least 1")
-    a_ub, b_ub, labels, size = _lp_system(grid, table, n_cut, shift_sigmas)
-    y11_index = 1 * (n_cut + 1) + 1
+    a_ub, b_ub, labels, size = _lp_system(grid, table, shift_sigmas)
+    y11_index = 1 * (N_CUT + 1) + 1
     y11_lower = _lp_extreme(a_ub, b_ub, labels, size, y11_index, maximize=False)
     z11_upper = _lp_extreme(a_ub, b_ub, labels, size, size + y11_index,
                             maximize=True)
@@ -502,7 +514,7 @@ class YieldBounds:
 
 
 def bound_y11_e11(grids: dict, table: IntensityTable, meas_basis: str,
-                  method: str = "analytic", n_cut: int = DEFAULT_N_CUT,
+                  method: str = "analytic",
                   shift_sigmas: float | None = None) -> YieldBounds:
     """Bound Y_11 (per preparation basis) and the conjugate-basis e_11.
 
@@ -530,7 +542,7 @@ def bound_y11_e11(grids: dict, table: IntensityTable, meas_basis: str,
     else:
         z11_upper = None
         for basis in (meas_basis, phase_basis):
-            y_low, z_up = lp_bounds(grids[basis], table, n_cut, shift_sigmas)
+            y_low, z_up = lp_bounds(grids[basis], table, shift_sigmas)
             y11_lower[basis] = y_low
             if basis == phase_basis:
                 z11_upper = z_up

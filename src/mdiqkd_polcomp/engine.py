@@ -6,8 +6,9 @@ the channels are frozen and every slot is an i.i.d. draw over a finite
 set of sender-decision combinations.  The per-window statistics are
 therefore exact multinomials:
 
-  1. each sender's decision falls in one of 12 classes
-     (basis, bit, intensity), with known probabilities;
+  1. each sender's decision falls in one of the same 12 classes
+     (basis, bit, intensity), drawn from the one intensity table both
+     senders share;
   2. the 144 joint decision combinations get slot counts from one
      multinomial over the window's slot budget;
   3. each combination's detection outcomes (both-click, single on
@@ -57,7 +58,7 @@ class EngineError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DecisionClasses:
-    """The 12 per-sender decision classes and their probabilities.
+    """The 12 decision classes of either sender and their probabilities.
 
     Class index layout: basis-major, then bit, then intensity, i.e.
     index = 6*basis + 3*bit + intensity with basis 0 = Z, and intensity
@@ -95,21 +96,20 @@ class DecisionClasses:
         return len(self.bases)
 
 
-def window_class_probabilities(classes_a: DecisionClasses,
-                               classes_b: DecisionClasses,
+def window_class_probabilities(classes: DecisionClasses,
                                channel_a: np.ndarray, channel_b: np.ndarray,
                                meas_basis: str,
                                params: DetectorParams) -> np.ndarray:
     """Outcome-class probabilities (12, 12, 4) under frozen channels."""
-    states_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
-    states_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
-    return class_probability_grid(states_a, classes_a.mean_photons,
-                                  states_b, classes_b.mean_photons,
+    states_a = classes.states @ np.asarray(channel_a, dtype=complex).T
+    states_b = classes.states @ np.asarray(channel_b, dtype=complex).T
+    return class_probability_grid(states_a, classes.mean_photons,
+                                  states_b, classes.mean_photons,
                                   meas_basis, params)
 
 
 class PairMasks(NamedTuple):
-    """Boolean (len(classes_a), len(classes_b)) masks over decision pairs.
+    """Boolean (12, 12) masks over decision pairs (class A, class B).
 
     same_basis: both senders prepared in one basis (the tally cells).
     wrong_bits: same basis, and a both-click is an error: equal bits in
@@ -128,46 +128,40 @@ class PairMasks(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def pair_masks(classes_a: DecisionClasses, classes_b: DecisionClasses,
-               meas_basis: str) -> PairMasks:
+def pair_masks(classes: DecisionClasses, meas_basis: str) -> PairMasks:
     """The routing rules of one window's measurement basis as PairMasks.
 
-    Cached per (classes_a, classes_b, meas_basis); the masks are shared
-    between calls and therefore read-only.
+    Cached per (classes, meas_basis); the masks are shared between calls
+    and therefore read-only.
     """
-    meas_idx = BASIS_LABELS.index(meas_basis)
-    measured_a = (classes_a.bases == meas_idx)[:, None]
-    measured_b = (classes_b.bases == meas_idx)[None, :]
-    omega_a = (classes_a.intensities == OMEGA_INDEX)[:, None]
-    omega_b = (classes_b.intensities == OMEGA_INDEX)[None, :]
-    signal = ((classes_a.intensities == MU_INDEX)[:, None]
-              & (classes_b.intensities == MU_INDEX)[None, :])
-    same_basis = classes_a.bases[:, None] == classes_b.bases[None, :]
-    same_bits = classes_a.bits[:, None] == classes_b.bits[None, :]
+    # Columns over sender A's classes; their transposes are sender B's.
+    measured = (classes.bases == BASIS_LABELS.index(meas_basis))[:, None]
+    omega = (classes.intensities == OMEGA_INDEX)[:, None]
+    mu = (classes.intensities == MU_INDEX)[:, None]
+    same_basis = classes.bases[:, None] == classes.bases[None, :]
+    same_bits = classes.bits[:, None] == classes.bits[None, :]
+    recyclable_a = omega.T & ~omega & measured
     masks = PairMasks(same_basis=same_basis,
-                      wrong_bits=same_basis & (same_bits == measured_a),
-                      key_candidate=same_basis & measured_a & signal,
-                      recyclable_a=omega_b & ~omega_a & measured_a,
-                      recyclable_b=omega_a & ~omega_b & measured_b)
+                      wrong_bits=same_basis & (same_bits == measured),
+                      key_candidate=same_basis & measured & mu & mu.T,
+                      recyclable_a=recyclable_a, recyclable_b=recyclable_a.T)
     for mask in masks:
         mask.flags.writeable = False
     return masks
 
 
 @lru_cache(maxsize=16)
-def _joint_probabilities(classes_a: DecisionClasses,
-                         classes_b: DecisionClasses) -> np.ndarray:
+def _joint_probabilities(classes: DecisionClasses) -> np.ndarray:
     """Flattened (12 * 12) probabilities of the joint decision classes.
 
-    Cached per (classes_a, classes_b) and therefore read-only.
+    Cached per classes and therefore read-only.
     """
-    joint = np.outer(classes_a.probabilities, classes_b.probabilities).ravel()
+    joint = np.outer(classes.probabilities, classes.probabilities).ravel()
     joint.flags.writeable = False
     return joint
 
 
-def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
-                         classes_b: DecisionClasses,
+def sample_window_counts(n_slots: int, classes: DecisionClasses,
                          class_probs: np.ndarray,
                          rng: np.random.Generator):
     """Draw one window's decision-combination and outcome counts.
@@ -177,9 +171,9 @@ def sample_window_counts(n_slots: int, classes_a: DecisionClasses,
     """
     if n_slots < 0:
         raise EngineError("slot count must be nonnegative")
-    joint = _joint_probabilities(classes_a, classes_b)
-    combo_counts = rng.multinomial(n_slots, joint).reshape(len(classes_a),
-                                                           len(classes_b))
+    n_classes = len(classes)
+    combo_counts = rng.multinomial(
+        n_slots, _joint_probabilities(classes)).reshape(n_classes, n_classes)
     # Broadcast over the combinations in row-major order.  An empty
     # combination draws no random numbers, so the stream equals one
     # draw per occupied combination.
@@ -190,8 +184,7 @@ _TALLY_COLUMNS = math.prod(TALLY_SHAPE)
 
 
 @lru_cache(maxsize=16)
-def routing_matrix(classes_a: DecisionClasses, classes_b: DecisionClasses,
-                   meas_basis: str) -> np.ndarray:
+def routing_matrix(classes: DecisionClasses, meas_basis: str) -> np.ndarray:
     """The pair_masks rules as one 0/1 float64 matrix, cached on their key.
 
     One row per entry of the flattened (12, 12, 4) outcome_counts; every
@@ -203,16 +196,16 @@ def routing_matrix(classes_a: DecisionClasses, classes_b: DecisionClasses,
       measured basis' bit-0 state, then the same for its bit-1 state.
     conservation: key_candidate, recycled and decoy_coincidence.
     """
-    masks = pair_masks(classes_a, classes_b, meas_basis)
+    masks = pair_masks(classes, meas_basis)
     outcome = np.arange(N_OUTCOME_CLASSES)
     psi = outcome == PSI_PLUS
     single = (outcome == SINGLE_FIRST) | (outcome == SINGLE_SECOND)
 
     # Same-basis pairs one-hot over the tally cells, any outcome.
     n_int = len(INTENSITY_LABELS)
-    cell = ((classes_a.bases[:, None] * n_int
-             + classes_a.intensities[:, None]) * n_int
-            + classes_b.intensities[None, :])
+    cell = ((classes.bases[:, None] * n_int
+             + classes.intensities[:, None]) * n_int
+            + classes.intensities[None, :])
     cells = (masks.same_basis[..., None]
              & (cell[..., None] == np.arange(math.prod(TALLY_SHAPE[:3]))))
     cells = np.repeat(cells[:, :, None, :], N_OUTCOME_CLASSES, axis=2)
@@ -234,11 +227,11 @@ def routing_matrix(classes_a: DecisionClasses, classes_b: DecisionClasses,
         (masks.recyclable_a | masks.recyclable_b)[..., None] & single,
         (masks.same_basis & ~masks.key_candidate)[..., None] & psi,
     ], axis=-1)
-    n_rows = len(classes_a) * len(classes_b) * N_OUTCOME_CLASSES
+    n_rows = len(classes) ** 2 * N_OUTCOME_CLASSES
     matrix = np.concatenate([
         part.reshape(n_rows, -1) for part in (
-            tallies, singles(masks.recyclable_a, classes_a.bits[:, None]),
-            singles(masks.recyclable_b, classes_b.bits[None, :]),
+            tallies, singles(masks.recyclable_a, classes.bits[:, None]),
+            singles(masks.recyclable_b, classes.bits[None, :]),
             conservation)], axis=1).astype(np.float64)
     matrix.flags.writeable = False
     return matrix
@@ -264,8 +257,8 @@ class WindowRoutes(NamedTuple):
     conservation: dict
 
 
-def route_window(classes_a: DecisionClasses, classes_b: DecisionClasses,
-                 meas_basis: str, outcome_counts: np.ndarray) -> WindowRoutes:
+def route_window(classes: DecisionClasses, meas_basis: str,
+                 outcome_counts: np.ndarray) -> WindowRoutes:
     """Route one window's (12, 12, 4) outcome counts with one product.
 
     Tallies: every same-basis pair counts as sent; its both-clicks are
@@ -292,7 +285,7 @@ def route_window(classes_a: DecisionClasses, classes_b: DecisionClasses,
     if total >= _EXACT_FLOAT_SUM:
         raise EngineError("window counts too large to route exactly")
     sums = (outcome_counts.reshape(-1).astype(np.float64)
-            @ routing_matrix(classes_a, classes_b, meas_basis)).astype(np.int64)
+            @ routing_matrix(classes, meas_basis)).astype(np.int64)
     (wrong_a0, total_a0, wrong_a1, total_a1, wrong_b0, total_b0, wrong_b1,
      total_b1, key, recycled, decoy) = sums[_TALLY_COLUMNS:].tolist()
     labels = BASIS_STATES[meas_basis]

@@ -145,10 +145,7 @@ class CharlieNode:
     def __init__(self, config: SessionConfig):
         self.config = config
         self.windows = config.windows()
-        self.classes = {
-            "alice": engine.DecisionClasses.build(config.table_a),
-            "bob": engine.DecisionClasses.build(config.table_b),
-        }
+        self.classes = engine.DecisionClasses.build(config.table)
         init_a = random_misalignment(config.initial_misalignment_a,
                                      seed=[config.seed, _STREAM_INIT_A])
         init_b = random_misalignment(config.initial_misalignment_b,
@@ -231,14 +228,11 @@ class CharlieNode:
             routes = self._sample_slots(index, n_slots, meas_basis, channels)
         else:
             class_probs = engine.window_class_probabilities(
-                self.classes["alice"], self.classes["bob"],
-                channels["alice"], channels["bob"], meas_basis,
-                self.config.detector)
+                self.classes, channels["alice"], channels["bob"],
+                meas_basis, self.config.detector)
             _, outcome_counts = engine.sample_window_counts(
-                n_slots, self.classes["alice"], self.classes["bob"],
-                class_probs, self.rng)
-            routes = engine.route_window(self.classes["alice"],
-                                         self.classes["bob"], meas_basis,
+                n_slots, self.classes, class_probs, self.rng)
+            routes = engine.route_window(self.classes, meas_basis,
                                          outcome_counts)
         self.tallies[meas_basis].add(routes.tallies)
         counts = routes.conservation
@@ -311,9 +305,7 @@ class CharlieNode:
                 raise SessionFailure(
                     f"window {index}: privacy violation - revealed bits "
                     "overlap the sifted key")
-        routes = engine.route_window(self.classes["alice"],
-                                     self.classes["bob"], meas_basis,
-                                     outcome_counts)
+        routes = engine.route_window(self.classes, meas_basis, outcome_counts)
         for user, singles in zip(USERS, (routes.singles_a, routes.singles_b)):
             # The slot-level route lists only the labels it saw.
             seen = {label: counts for label, counts in singles.items()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -167,7 +168,25 @@ def write_misalignment_csv(path, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _trace_row(row: list) -> tuple:
+    """One misalignment CSV row as write_misalignment_csv wrote it."""
+    time_s = float(row[0])
+    if not math.isfinite(time_s):
+        raise ValueError(f"time_s {row[0]!r} is not finite")
+    angles = []
+    for text in row[1:3]:
+        angle = float(text) if text else None
+        if angle is not None and not 0.0 <= angle <= math.pi / 2:
+            raise ValueError(f"angle {text!r} is not in [0, pi/2]")
+        angles.append(angle)
+    if row[3] not in ("0", "1"):
+        raise ValueError(f"triggered {row[3]!r} is not 0 or 1")
+    return (time_s, *angles, row[3] == "1")
+
+
 def read_misalignment_csv(path) -> list:
+    """Trace rows of write_misalignment_csv; anything else raises
+    ReportingError naming the file and the row."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -180,14 +199,13 @@ def read_misalignment_csv(path) -> list:
                 if len(row) != len(MISALIGNMENT_CSV_HEADER):
                     raise ReportingError(f"bad misalignment CSV row in "
                                          f"{path}: {row}")
-                rows.append((float(row[0]),
-                             float(row[1]) if row[1] else None,
-                             float(row[2]) if row[2] else None,
-                             bool(int(row[3]))))
+                try:
+                    rows.append(_trace_row(row))
+                except ValueError as exc:
+                    raise ReportingError(f"bad value in {path} row "
+                                         f"{row}: {exc}") from exc
     except OSError as exc:
         raise ReportingError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ReportingError(f"bad value in {path}: {exc}") from exc
     return rows
 
 

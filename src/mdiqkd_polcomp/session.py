@@ -51,15 +51,15 @@ class SessionFailure(SessionError):
 class SessionConfig:
     """Everything a session run depends on; defaults mirror the experiment.
 
-    duration_s is virtual time.  Per-user drift rates and initial
+    duration_s is virtual time.  Both senders draw their decisions from
+    the one intensity table.  Per-user drift rates and initial
     misalignment angles describe the fiber arms; seeds derive every
     random stream, so equal configs give identical reports.
     """
 
     duration_s: float = 60.0
     rep_rate_hz: float = 10e6
-    table_a: IntensityTable = field(default_factory=IntensityTable)
-    table_b: IntensityTable = field(default_factory=IntensityTable)
+    table: IntensityTable = field(default_factory=IntensityTable)
     detector: DetectorParams = field(default_factory=DetectorParams)
     schedule: BasisSchedule = field(default_factory=BasisSchedule)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -102,9 +102,8 @@ class SessionConfig:
         if not self.error_correction_efficiency >= 1.0:
             raise SessionError("error_correction_efficiency must be >= 1, got "
                                f"{self.error_correction_efficiency}")
-        if not isinstance(self.table_a, IntensityTable) \
-                or not isinstance(self.table_b, IntensityTable):
-            raise SessionError("table_a/table_b must be IntensityTable instances")
+        if not isinstance(self.table, IntensityTable):
+            raise SessionError("table must be an IntensityTable instance")
         if not isinstance(self.detector, DetectorParams):
             raise SessionError("detector must be a DetectorParams instance")
         if not isinstance(self.schedule, BasisSchedule):
@@ -223,15 +222,15 @@ def user_reveals(slots, outcomes, pairs) -> tuple:
     return reveals, bit_reveals, bits
 
 
-def sift(slots, outcomes, reveals_a, reveals_b, meas_basis: str,
-         bits_a=None, bits_b=None):
+def sift(slots, outcomes, reveals_a, reveals_b, meas_basis: str, bits_a,
+         bits_b):
     """Select key slots and count errors from announced results.
 
     A slot enters the key when the projection was the both-click class
-    and both users reveal the measured basis at signal intensity.  When
-    the true bits are supplied (one per announced slot), errors are
-    counted under the both-click correlation rule (anticorrelated bits
-    are correct in the measured basis).
+    and both users reveal the measured basis at signal intensity.
+    Errors are counted from the true bits (one per announced slot)
+    under the both-click correlation rule (anticorrelated bits are
+    correct in the measured basis).
 
     Returns (kept_slots, summary_dict).
     """
@@ -239,9 +238,7 @@ def sift(slots, outcomes, reveals_a, reveals_b, meas_basis: str,
     (bases_a, ints_a), (bases_b, ints_b) = reveals_a, reveals_b
     keep = (outcomes == _PSI_PLUS) & (bases_a == basis) \
         & (bases_b == basis) & (ints_a == _MU) & (ints_b == _MU)
-    n_errors = 0
-    if bits_a is not None and bits_b is not None:
-        n_errors = int(np.count_nonzero(keep & (bits_a == bits_b)))
+    n_errors = int(np.count_nonzero(keep & (bits_a == bits_b)))
     kept = slots[keep]
     return kept, {"n_sifted": len(kept), "n_errors": n_errors}
 
@@ -318,18 +315,17 @@ def sample_window_slots(config: SessionConfig, window_index: int,
     same columns, counts and rng state as one call over the whole
     window.
     """
-    classes_a = engine.DecisionClasses.build(config.table_a)
-    classes_b = engine.DecisionClasses.build(config.table_b)
+    classes = engine.DecisionClasses.build(config.table)
     abs_slots = np.arange(start, start + n_slots, dtype=np.uint64) \
         + np.uint64(window_index << 40)
     # uint8 holds every pair index, 12 * 11 + 11 at most.
-    pair = draw_classes(config.seed * 2 + 0, abs_slots, config.table_a)
+    pair = draw_classes(config.seed * 2 + 0, abs_slots, config.table)
     pair *= 12
-    pair += draw_classes(config.seed * 2 + 1, abs_slots, config.table_b)
-    rotated_a = classes_a.states @ np.asarray(channel_a, dtype=complex).T
-    rotated_b = classes_b.states @ np.asarray(channel_b, dtype=complex).T
-    c0, c1 = phase_coefficients(rotated_a, classes_a.mean_photons,
-                                rotated_b, classes_b.mean_photons, meas_basis)
+    pair += draw_classes(config.seed * 2 + 1, abs_slots, config.table)
+    rotated_a = classes.states @ np.asarray(channel_a, dtype=complex).T
+    rotated_b = classes.states @ np.asarray(channel_b, dtype=complex).T
+    c0, c1 = phase_coefficients(rotated_a, classes.mean_photons,
+                                rotated_b, classes.mean_photons, meas_basis)
     c0, re_c1, im_c1 = (x.reshape(144, 2) for x in (c0, c1.real, c1.imag))
     eta, keep = config.detector.efficiency, 1.0 - config.detector.dark_prob
     # Exact thinning: |a cos phi| <= |a| survives rounding, so no phase
@@ -377,17 +373,9 @@ def summarize_sifted(tallies: dict) -> dict:
 
 
 def analyze_tallies(config: SessionConfig, tallies: dict) -> tuple:
-    """Decoy bounds and key rate per measurement half, where computable.
-
-    The decoy system assumes both senders draw from the same intensity
-    table; with asymmetric tables the analysis is skipped rather than
-    silently misapplied.
-    """
+    """Decoy bounds and key rate per measurement half, where computable."""
     bounds: dict = {}
     rates: dict = {}
-    if config.table_a != config.table_b:
-        return ({half: None for half in tallies},
-                {half: None for half in tallies})
     for half, tally_set in tallies.items():
         signal = tally_set.cell(half, "mu", "mu")
         if signal.sent == 0 or signal.coincidences == 0:
@@ -395,13 +383,13 @@ def analyze_tallies(config: SessionConfig, tallies: dict) -> tuple:
             rates[half] = None
             continue
         grids = {basis: tally_set.gain_grid(basis) for basis in BASIS_LABELS}
-        half_bounds = bound_y11_e11(grids, config.table_a, half,
+        half_bounds = bound_y11_e11(grids, config.table, half,
                                     method=config.bound_method,
                                     shift_sigmas=1.0)
         q_signal = signal.coincidences / signal.sent
         e_signal = signal.errors / signal.coincidences
         bounds[half] = half_bounds
-        rates[half] = key_rate(p11(config.table_a.mu),
+        rates[half] = key_rate(p11(config.table.mu),
                                half_bounds.y11_lower[half],
                                half_bounds.e11_upper, q_signal, e_signal,
                                config.error_correction_efficiency)

@@ -8,14 +8,13 @@ in-process transports therefore produce identical frame streams for
 identical message sequences.  NaN and infinities are not JSON: neither
 the encoder nor the decoder accepts them.
 
-The announcement types mirror what the measurement node and the users
-tell each other: per-slot measurement results and sifting reveals and
-the per-window misalignment estimates.  The compensator state stands in
-for the physical light path in a simulation, and the session end closes
-the stream.  Per window a session sends one compensator state from each
-user and one misalignment announcement to each.  WindowSummary is a
-valid frame that no node sends: the measurement node keeps its
-bookkeeping in its own report.
+A session sends three message types.  Per window each user sends one
+compensator state, which stands in for the physical light path in a
+simulation, and the measurement node sends each user one misalignment
+announcement; the session end closes the stream.  Slot announcements
+and reveals never cross the wire: the per-slot backend keeps them as
+columns inside the measurement node, and both senders draw their
+decisions from the one ``[intensities]`` table of the session config.
 
 A decoder consumes a byte stream incrementally: truncated frames wait
 for more bytes, and a frame whose body fails to parse raises but leaves
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 PROTOCOL_VERSION = 1
 HEADER = struct.Struct(">I")
@@ -35,40 +34,6 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 class WireError(ValueError):
     """Raised for malformed frames or unknown/invalid message payloads."""
-
-
-@dataclass(frozen=True)
-class BsmResult:
-    """Measurement node announces one slot's projection result."""
-
-    slot: int
-    basis: str
-    outcome: str
-
-    type_tag = "bsm_result"
-
-
-@dataclass(frozen=True)
-class BasisIntensityReveal:
-    """A user reveals basis and intensity class for an announced slot."""
-
-    user: str
-    slot: int
-    basis: str
-    intensity: str
-
-    type_tag = "basis_intensity_reveal"
-
-
-@dataclass(frozen=True)
-class PolarizationBitReveal:
-    """A user reveals the transmitted bit of a recycled (failed-BSM) slot."""
-
-    user: str
-    slot: int
-    bit: int
-
-    type_tag = "polarization_bit_reveal"
 
 
 @dataclass(frozen=True)
@@ -100,17 +65,6 @@ class CompensatorState:
 
 
 @dataclass(frozen=True)
-class WindowSummary:
-    """Measurement node's per-window bookkeeping broadcast."""
-
-    window: int
-    meas_basis: str
-    counts: dict = field(default_factory=dict)
-
-    type_tag = "window_summary"
-
-
-@dataclass(frozen=True)
 class SessionEnd:
     """Terminates the message stream for a session."""
 
@@ -120,11 +74,10 @@ class SessionEnd:
 
 
 MESSAGE_TYPES = {cls.type_tag: cls for cls in (
-    BsmResult, BasisIntensityReveal, PolarizationBitReveal,
-    MisalignmentAnnouncement, CompensatorState, WindowSummary, SessionEnd)}
+    MisalignmentAnnouncement, CompensatorState, SessionEnd)}
 
-# Field names per type tag.  Fields hold only JSON scalars, tuples (which
-# json writes as arrays) and flat dicts, so no recursive copy is needed.
+# Field names per type tag.  Fields hold only JSON scalars and tuples
+# (which json writes as arrays), so no recursive copy is needed.
 _FIELDS = {tag: tuple(f.name for f in fields(cls))
            for tag, cls in MESSAGE_TYPES.items()}
 

@@ -33,11 +33,9 @@ from mdiqkd_polcomp.session import SessionConfig, run_session
 from mdiqkd_polcomp.transmitter import (IntensityTable, key_fraction,
                                         recyclable_fraction,
                                         reference_intensity_table)
-from mdiqkd_polcomp.wire import (BasisIntensityReveal, BsmResult,
-                                 CompensatorState, FrameDecoder,
-                                 MisalignmentAnnouncement,
-                                 PolarizationBitReveal, SessionEnd,
-                                 WindowSummary, encode_message)
+from mdiqkd_polcomp.wire import (CompensatorState, FrameDecoder,
+                                 MisalignmentAnnouncement, SessionEnd,
+                                 encode_message)
 
 SIX_CARDINAL_STATES = (STATE_H, STATE_V, STATE_D, STATE_A, STATE_R, STATE_L)
 
@@ -326,47 +324,25 @@ def test_criterion_7_estimator_invariants(capsys):
 
 
 def _random_messages(n: int) -> list:
+    """n random messages of the three types a session sends."""
     rng = np.random.default_rng(8)
-    bases = ("Z", "X")
     users = ("alice", "bob")
-    outcomes = ("psi_plus", "single_first", "single_second", "no_click")
-    intensities = ("mu", "nu", "omega")
     messages = []
     for _ in range(n):
-        kind = rng.integers(0, 7)
+        kind = rng.integers(0, 3)
         if kind == 0:
-            messages.append(BsmResult(slot=int(rng.integers(0, 2 ** 50)),
-                                      basis=bases[rng.integers(0, 2)],
-                                      outcome=outcomes[rng.integers(0, 4)]))
-        elif kind == 1:
-            messages.append(BasisIntensityReveal(
-                user=users[rng.integers(0, 2)],
-                slot=int(rng.integers(0, 2 ** 50)),
-                basis=bases[rng.integers(0, 2)],
-                intensity=intensities[rng.integers(0, 3)]))
-        elif kind == 2:
-            messages.append(PolarizationBitReveal(
-                user=users[rng.integers(0, 2)],
-                slot=int(rng.integers(0, 2 ** 50)),
-                bit=int(rng.integers(0, 2))))
-        elif kind == 3:
             theta_z = None if rng.random() < 0.3 else float(rng.random())
             theta_x = None if rng.random() < 0.3 else float(rng.random())
             messages.append(MisalignmentAnnouncement(
                 user=users[rng.integers(0, 2)],
                 window=int(rng.integers(0, 10 ** 6)),
                 theta_z=theta_z, theta_x=theta_x))
-        elif kind == 4:
+        elif kind == 1:
             messages.append(CompensatorState(
                 user=users[rng.integers(0, 2)],
                 window=int(rng.integers(0, 10 ** 6)),
                 retardances=tuple(float(v) for v in rng.random(4)),
                 triggered=bool(rng.random() < 0.5)))
-        elif kind == 5:
-            messages.append(WindowSummary(
-                window=int(rng.integers(0, 10 ** 6)),
-                meas_basis=bases[rng.integers(0, 2)],
-                counts={"key_candidate": int(rng.integers(0, 10 ** 9))}))
         else:
             messages.append(SessionEnd(reason="complete"))
     return messages

@@ -172,8 +172,21 @@ def _published_gains_with(row: str) -> str:
     return text.replace(good, row)
 
 
+# A complete tally table: every (basis, intensity pair) cell once.
+_TALLIES = "basis,intensity_A,intensity_B,sent,coincidences,errors\n" \
+    + "".join(f"{basis},{ia},{ib},100,10,1\n" for basis in "ZX"
+              for ia in ("mu", "nu", "omega") for ib in ("mu", "nu", "omega"))
+
+
 @pytest.mark.parametrize("kind, text, match", [
     ("tallies", "not,a,tally,table\n1,2,3,4\n", "header"),
+    ("tallies", _TALLIES.replace("Z,nu,nu,100,10,1\n", ""),
+     "missing tally CSV cell"),
+    ("tallies", _TALLIES + "Z,nu,nu,100,10,1\n", "duplicated tally CSV cell"),
+    ("gains", _published_gains_with(""), "missing gain CSV cell"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,0.060,0.004\n"
+                                    "Z,mu,nu,8.06e-6,0.13e-6,0.060,0.004"),
+     "duplicated gain CSV cell"),
     ("gains", _published_gains_with("Y,mu,nu,8.06e-6,0.13e-6,0.060,0.004"),
      "unknown basis 'Y'"),
     ("gains", _published_gains_with("Z,mu,zeta,8.06e-6,0.13e-6,0.060,0.004"),
@@ -188,7 +201,8 @@ def _published_gains_with(row: str) -> str:
      "non-finite"),
     ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,inf,0.004"),
      "non-finite"),
-], ids=["tally-header", "gain-basis", "gain-intensity", "gain-short-row",
+], ids=["tally-header", "tally-missing-cell", "tally-duplicated-cell",
+        "gain-missing-cell", "gain-duplicated-cell", "gain-basis", "gain-intensity", "gain-short-row",
         "gain-long-row", "gain-non-numeric", "gain-nan", "gain-inf"])
 def test_analyze_malformed_input_exits_with_input_code(tmp_path, capsys,
                                                        kind, text, match):

@@ -68,9 +68,8 @@ def test_default_profile_encodes_the_reference_operating_point():
     assert config.controller.threshold == 0.13
     assert config.drift_rate_a == 0.003
     assert config.drift_rate_b == 0.003
-    assert config.table_a.mu == 0.28
-    assert config.table_a.probabilities == (0.52, 0.33, 0.15)
-    assert config.table_a == config.table_b
+    assert config.table.mu == 0.28
+    assert config.table.probabilities == (0.52, 0.33, 0.15)
     assert config.detector.efficiency == pytest.approx(0.055515164)
     assert config.detector.dark_prob == 2e-6
     assert config.compensation_enabled is True
@@ -103,9 +102,8 @@ def test_every_section_and_key_is_settable():
     assert config.reference_smoothing == 0.5
     assert config.bound_method == "lp"
     assert config.error_correction_efficiency == 1.2
-    assert config.table_a == IntensityTable(mu=0.3, nu=0.08, omega=0.002,
-                                            p_mu=0.5, p_nu=0.3, p_omega=0.2)
-    assert config.table_b == config.table_a
+    assert config.table == IntensityTable(mu=0.3, nu=0.08, omega=0.002,
+                                          p_mu=0.5, p_nu=0.3, p_omega=0.2)
     assert config.detector.efficiency == 0.1
     assert config.schedule.period == 10.0
     assert config.controller.alpha == 0.4
@@ -183,12 +181,6 @@ def test_ini_round_trip_preserves_every_field():
                                      "[drift]\nrate_a = 0.007\n"),
                    parse_config_text(EVERY_KEY_INI)):
         assert parse_config_text(config_to_ini(config)) == config
-
-
-def test_asymmetric_tables_cannot_serialize():
-    config = SessionConfig(table_b=IntensityTable(mu=0.3))
-    with pytest.raises(ConfigError, match="asymmetric"):
-        config_to_ini(config)
 
 
 def test_read_config_file_round_trip(tmp_path):

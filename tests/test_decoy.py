@@ -1,7 +1,9 @@
 """Decoy-state tallies, single-photon bounds, and key-rate evaluation."""
 
 import math
+import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -178,6 +180,55 @@ def test_tally_csv_rejects_bad_header_and_rows(tmp_path):
         TallySet.read_csv(bad_counts)
 
 
+def _full_tally_lines(tmp_path) -> list:
+    path = tmp_path / "full.csv"
+    TallySet().write_csv(path)
+    return path.read_text().splitlines(keepends=True)
+
+
+def _published_gain_lines() -> list:
+    return (resources.files("mdiqkd_polcomp.data") / "tables"
+            / "published_gains_meas_z.csv").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+
+
+# Line 1 of both tables, after the header, is the Z mu-mu cell.
+TABLE_DAMAGE = {
+    "missing": (lambda lines: lines[:1] + lines[2:], "missing", "Z,mu,mu"),
+    "duplicated": (lambda lines: lines + lines[1:2], "duplicated",
+                   "Z,mu,mu"),
+    "truncated": (lambda lines: lines[:-1], "missing", "X,omega,omega"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(TABLE_DAMAGE))
+@pytest.mark.parametrize("what", ["tally", "gain"])
+def test_tables_must_hold_each_cell_once(tmp_path, what, damage):
+    edit, problem, cell = TABLE_DAMAGE[damage]
+    if what == "tally":
+        lines, read = _full_tally_lines(tmp_path), TallySet.read_csv
+    else:
+        lines, read = _published_gain_lines(), read_gain_csv
+    path = tmp_path / "damaged.csv"
+    path.write_text("".join(edit(lines)))
+    with pytest.raises(DecoyError, match=re.escape(
+            f"{problem} {what} CSV cell in {path}: {cell}")):
+        read(path)
+
+
+def test_tally_table_must_hold_both_bases(tmp_path):
+    path = tmp_path / "z_only.csv"
+    path.write_text("".join(_full_tally_lines(tmp_path)[:10]))
+    with pytest.raises(DecoyError, match="missing tally CSV cell.*X,mu,mu"):
+        TallySet.read_csv(path)
+
+
+def test_gain_table_may_name_one_basis(tmp_path):
+    path = tmp_path / "z_only.csv"
+    path.write_text("".join(_published_gain_lines()[:10]))
+    assert list(read_gain_csv(path)) == ["Z"]
+
+
 def test_gain_grid_binomial_uncertainty():
     tallies = TallySet()
     tallies.record("Z", "mu", "mu", sent=1_000_000, coincidences=3000,
@@ -345,16 +396,9 @@ def test_lp_accepts_a_reference_sessions_own_tallies():
     for half in ("Z", "X"):
         for basis in ("Z", "X"):
             grid = report.tallies[half].gain_grid(basis)
-            y11, z11 = lp_bounds(grid, config.table_a)
+            y11, z11 = lp_bounds(grid, config.table)
             assert 2.5e-4 < y11 < 4e-4
             assert 0.0 <= z11 <= y11
-
-
-def test_lp_rejects_bad_cut():
-    zero = np.zeros((3, 3))
-    grid = GainGrid(q=zero, q_sigma=zero, eq=zero, eq_sigma=zero)
-    with pytest.raises(DecoyError):
-        lp_bounds(grid, TABLE, n_cut=0)
 
 
 # ---------------------------------------------------------------------------

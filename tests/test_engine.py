@@ -47,7 +47,7 @@ def test_window_probabilities_match_direct_cell_evaluation():
     classes = DecisionClasses.build(TABLE)
     channel_a = rotation_about_stokes_axis(np.array([0.3, 1.0, -0.2]), 0.21)
     channel_b = rotation_about_stokes_axis(np.array([1.0, 0.1, 0.4]), -0.13)
-    grid = window_class_probabilities(classes, classes, channel_a, channel_b,
+    grid = window_class_probabilities(classes, channel_a, channel_b,
                                       "X", PARAMS)
     assert grid.shape == (12, 12, 4)
     assert np.allclose(grid.sum(axis=2), 1.0, atol=1e-12)
@@ -65,15 +65,15 @@ def test_window_probabilities_match_direct_cell_evaluation():
 def test_sampling_conserves_slots_and_is_deterministic():
     classes = DecisionClasses.build(TABLE)
     identity = np.eye(2, dtype=complex)
-    probs = window_class_probabilities(classes, classes, identity, identity,
+    probs = window_class_probabilities(classes, identity, identity,
                                        "Z", PARAMS)
     n_slots = 200_000
     combo, outcomes = sample_window_counts(
-        n_slots, classes, classes, probs, np.random.default_rng(42))
+        n_slots, classes, probs, np.random.default_rng(42))
     assert combo.sum() == n_slots
     assert np.array_equal(outcomes.sum(axis=2), combo)
     combo2, outcomes2 = sample_window_counts(
-        n_slots, classes, classes, probs, np.random.default_rng(42))
+        n_slots, classes, probs, np.random.default_rng(42))
     assert np.array_equal(combo, combo2)
     assert np.array_equal(outcomes, outcomes2)
 
@@ -93,10 +93,10 @@ def _per_combination_outcomes(combo, class_probs, rng):
 def test_broadcast_draw_matches_per_combination_stream(n_slots):
     classes = DecisionClasses.build(TABLE)
     channel = rotation_about_stokes_axis(np.array([0.2, -1.0, 0.5]), 0.4)
-    probs = window_class_probabilities(classes, classes, channel,
+    probs = window_class_probabilities(classes, channel,
                                        channel.conj().T, "X", PARAMS)
     rng = np.random.default_rng(1000 + n_slots)
-    combo, outcomes = sample_window_counts(n_slots, classes, classes, probs,
+    combo, outcomes = sample_window_counts(n_slots, classes, probs,
                                            rng)
     reference_rng = np.random.default_rng(1000 + n_slots)
     joint = np.outer(classes.probabilities, classes.probabilities).ravel()
@@ -113,10 +113,10 @@ def test_broadcast_draw_matches_per_combination_stream(n_slots):
 def test_sampled_combo_frequencies_match_decision_probabilities():
     classes = DecisionClasses.build(TABLE)
     identity = np.eye(2, dtype=complex)
-    probs = window_class_probabilities(classes, classes, identity, identity,
+    probs = window_class_probabilities(classes, identity, identity,
                                        "Z", PARAMS)
     n_slots = 1_000_000
-    combo, _ = sample_window_counts(n_slots, classes, classes, probs,
+    combo, _ = sample_window_counts(n_slots, classes, probs,
                                     np.random.default_rng(7))
     joint = np.outer(classes.probabilities, classes.probabilities)
     sigma = np.sqrt(n_slots * joint * (1 - joint))
@@ -127,7 +127,7 @@ def test_sampled_combo_frequencies_match_decision_probabilities():
 def test_negative_slot_count_rejected():
     classes = DecisionClasses.build(TABLE)
     with pytest.raises(EngineError, match="nonnegative"):
-        sample_window_counts(-1, classes, classes,
+        sample_window_counts(-1, classes,
                              np.zeros((12, 12, 4)), np.random.default_rng(0))
 
 
@@ -140,17 +140,17 @@ def _single_combo_outcomes(i: int, j: int, psi: int = 0, first: int = 0,
 
 def _tallies(classes, meas_basis, outcomes):
     tallies = TallySet()
-    tallies.add(route_window(classes, classes, meas_basis, outcomes).tallies)
+    tallies.add(route_window(classes, meas_basis, outcomes).tallies)
     return tallies
 
 
 def _singles(classes, meas_basis, outcomes, sender):
-    routes = route_window(classes, classes, meas_basis, outcomes)
+    routes = route_window(classes, meas_basis, outcomes)
     return routes.singles_a if sender == "A" else routes.singles_b
 
 
 def _conservation(classes, meas_basis, outcomes):
-    return route_window(classes, classes, meas_basis, outcomes).conservation
+    return route_window(classes, meas_basis, outcomes).conservation
 
 
 def test_tally_error_convention_matched_basis():
@@ -190,9 +190,9 @@ def test_tally_ignores_cross_basis_pairs():
 def test_tallies_match_independent_recount_on_sampled_window():
     classes = DecisionClasses.build(TABLE)
     identity = np.eye(2, dtype=complex)
-    probs = window_class_probabilities(classes, classes, identity, identity,
+    probs = window_class_probabilities(classes, identity, identity,
                                        "Z", PARAMS)
-    combo, outcomes = sample_window_counts(500_000, classes, classes, probs,
+    combo, outcomes = sample_window_counts(500_000, classes, probs,
                                            np.random.default_rng(11))
     tallies = _tallies(classes, "Z", outcomes)
     # Straight recount over the 144 combos with the correctness rule.
@@ -263,12 +263,12 @@ def test_recycled_singles_excludes_wrong_basis_and_non_vacuum_partner():
 def test_conservation_partitions_every_slot():
     classes = DecisionClasses.build(TABLE)
     identity = np.eye(2, dtype=complex)
-    probs = window_class_probabilities(classes, classes, identity, identity,
+    probs = window_class_probabilities(classes, identity, identity,
                                        "X", PARAMS)
     n_slots = 300_000
-    _, outcomes = sample_window_counts(n_slots, classes, classes, probs,
+    _, outcomes = sample_window_counts(n_slots, classes, probs,
                                        np.random.default_rng(3))
-    routes = route_window(classes, classes, "X", outcomes)
+    routes = route_window(classes, "X", outcomes)
     counts = routes.conservation
     assert list(counts) == list(engine.CONSERVATION_CLASSES)
     assert sum(counts.values()) == n_slots
@@ -318,7 +318,7 @@ def test_expected_recycled_rate_against_probability_sum():
     """Sampled recycled counts sit within binomial error of the exact rate."""
     classes = DecisionClasses.build(TABLE)
     identity = np.eye(2, dtype=complex)
-    probs = window_class_probabilities(classes, classes, identity, identity,
+    probs = window_class_probabilities(classes, identity, identity,
                                        "Z", PARAMS)
     p_recycled = 0.0
     joint = np.outer(classes.probabilities, classes.probabilities)
@@ -332,7 +332,7 @@ def test_expected_recycled_rate_against_probability_sum():
             if ok:
                 p_recycled += joint[i, j] * singles
     n_slots = 2_000_000
-    _, outcomes = sample_window_counts(n_slots, classes, classes, probs,
+    _, outcomes = sample_window_counts(n_slots, classes, probs,
                                        np.random.default_rng(17))
     counts = _conservation(classes, "Z", outcomes)
     expected = n_slots * p_recycled
@@ -343,15 +343,14 @@ def test_expected_recycled_rate_against_probability_sum():
 # Reference bookkeeping: the boolean-mask form the routing matrices
 # replaced, kept as the oracle for them.
 
-def _reference_tallies(classes_a, classes_b, meas_basis, combo_counts,
-                       outcome_counts):
-    masks = pair_masks(classes_a, classes_b, meas_basis)
+def _reference_tallies(classes, meas_basis, combo_counts, outcome_counts):
+    masks = pair_masks(classes, meas_basis)
     same = masks.same_basis
     n_int = len(INTENSITY_LABELS)
     n_cells = TALLY_SHAPE[0] * TALLY_SHAPE[1] * TALLY_SHAPE[2]
-    cell = ((classes_a.bases[:, None] * n_int
-             + classes_a.intensities[:, None]) * n_int
-            + classes_b.intensities[None, :])[same]
+    cell = ((classes.bases[:, None] * n_int
+             + classes.intensities[:, None]) * n_int
+            + classes.intensities[None, :])[same]
     psi = outcome_counts[..., PSI_PLUS]
     quantities = np.stack([combo_counts, psi, psi * masks.wrong_bits])
     totals = np.bincount(
@@ -361,25 +360,24 @@ def _reference_tallies(classes_a, classes_b, meas_basis, combo_counts,
     return totals.T.reshape(TALLY_SHAPE)
 
 
-def _reference_singles(classes_a, classes_b, meas_basis, outcome_counts,
-                       sender):
-    masks = pair_masks(classes_a, classes_b, meas_basis)
+def _reference_singles(classes, meas_basis, outcome_counts, sender):
+    masks = pair_masks(classes, meas_basis)
     if sender == "A":
-        own, recyclable, cells = classes_a, masks.recyclable_a, outcome_counts
+        recyclable, cells = masks.recyclable_a, outcome_counts
     else:
-        own, recyclable = classes_b, masks.recyclable_b.T
+        recyclable = masks.recyclable_b.T
         cells = outcome_counts.transpose(1, 0, 2)
     singles = (cells[..., SINGLE_FIRST:SINGLE_SECOND + 1]
                * recyclable[..., None]).sum(axis=1)
     labels = BASIS_STATES[meas_basis]
-    return {labels[bit]: (int(singles[own.bits == bit, 1 - bit].sum()),
-                          int(singles[own.bits == bit].sum()))
+    return {labels[bit]: (int(singles[classes.bits == bit, 1 - bit].sum()),
+                          int(singles[classes.bits == bit].sum()))
             for bit in (0, 1)}
 
 
-def _reference_conservation(classes_a, classes_b, meas_basis, combo_counts,
+def _reference_conservation(classes, meas_basis, combo_counts,
                             outcome_counts):
-    masks = pair_masks(classes_a, classes_b, meas_basis)
+    masks = pair_masks(classes, meas_basis)
     psi = outcome_counts[..., PSI_PLUS]
     singles = outcome_counts[..., SINGLE_FIRST] \
         + outcome_counts[..., SINGLE_SECOND]
@@ -396,10 +394,7 @@ def _reference_conservation(classes_a, classes_b, meas_basis, combo_counts,
 
 @pytest.mark.parametrize("meas_basis", BASIS_LABELS)
 def test_routing_matches_mask_reference_on_random_counts(meas_basis):
-    classes_a = DecisionClasses.build(TABLE)
-    classes_b = DecisionClasses.build(
-        IntensityTable(mu=0.3, nu=0.08, omega=0.002, p_mu=0.5, p_nu=0.3,
-                       p_omega=0.2))
+    classes = DecisionClasses.build(TABLE)
     rng = np.random.default_rng(23)
     for trial in range(40):
         # Sparse and dense windows, up to 10 MHz x 15 s per window.
@@ -407,17 +402,16 @@ def test_routing_matches_mask_reference_on_random_counts(meas_basis):
         outcome_counts = rng.integers(0, high, size=(12, 12, 4))
         outcome_counts[rng.random((12, 12, 4)) < trial / 40] = 0
         combo_counts = outcome_counts.sum(axis=2)
-        routes = route_window(classes_a, classes_b, meas_basis,
-                              outcome_counts)
+        routes = route_window(classes, meas_basis, outcome_counts)
         assert routes.tallies.dtype == np.int64
         assert np.array_equal(routes.tallies, _reference_tallies(
-            classes_a, classes_b, meas_basis, combo_counts, outcome_counts))
+            classes, meas_basis, combo_counts, outcome_counts))
         for sender, singles in (("A", routes.singles_a),
                                 ("B", routes.singles_b)):
             assert singles == _reference_singles(
-                classes_a, classes_b, meas_basis, outcome_counts, sender)
+                classes, meas_basis, outcome_counts, sender)
         assert routes.conservation == _reference_conservation(
-            classes_a, classes_b, meas_basis, combo_counts, outcome_counts)
+            classes, meas_basis, combo_counts, outcome_counts)
 
 
 def test_routing_refuses_counts_beyond_exact_float_sums():
@@ -428,4 +422,4 @@ def test_routing_refuses_counts_beyond_exact_float_sums():
     assert (cell.sent, cell.coincidences) == (2 ** 53 - 1, 2 ** 53 - 1)
     outcomes[0, 0, PSI_PLUS] = 1
     with pytest.raises(EngineError, match="exactly"):
-        route_window(classes, classes, "Z", outcomes)
+        route_window(classes, "Z", outcomes)

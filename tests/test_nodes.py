@@ -23,9 +23,9 @@ from mdiqkd_polcomp.polarization import (DriftProcess, misalignment_angles,
                                          squeezer_unitary)
 from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
                                     SessionFailure, run_session)
-from mdiqkd_polcomp.wire import (CompensatorState, FrameDecoder,
-                                 MisalignmentAnnouncement, SessionEnd,
-                                 WindowSummary, encode_message)
+from mdiqkd_polcomp.wire import (MESSAGE_TYPES, CompensatorState,
+                                 FrameDecoder, MisalignmentAnnouncement,
+                                 SessionEnd, encode_message)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -253,13 +253,29 @@ def test_every_window_trace_carries_its_trigger_flags(monkeypatch, mode):
     assert all(report.windows[-1].triggered.values())
 
 
-def test_user_node_refuses_a_window_summary():
+def test_user_node_refuses_a_compensator_state():
     user = nodes.UserNode("alice", networked_config(mode="in-process"))
-    summary = WindowSummary(window=0, meas_basis="Z",
-                            counts={"key_candidate": 1})
-    with pytest.raises(SessionFailure,
-                       match="alice cannot handle message type WindowSummary"):
-        user.handle(summary)
+    state = CompensatorState(user="bob", window=0,
+                             retardances=(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(SessionFailure, match="alice cannot handle message "
+                                             "type CompensatorState"):
+        user.handle(state)
+
+
+def test_a_session_sends_every_message_type_and_no_other(monkeypatch):
+    sent = Counter()
+    encode = nodes.encode_message
+
+    def counting_encode(message):
+        sent[type(message)] += 1
+        return encode(message)
+    monkeypatch.setattr(nodes, "encode_message", counting_encode)
+    run_session(networked_config(mode="in-process"))
+    # Windows 0 to 3: a state per user per window plus each closing
+    # state, an announcement per user per window, one end per user.
+    assert sent == {CompensatorState: 10, MisalignmentAnnouncement: 8,
+                    SessionEnd: 2}
+    assert set(sent) == set(MESSAGE_TYPES.values())
 
 
 @pytest.mark.parametrize("value", [True, False])

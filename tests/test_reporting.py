@@ -2,11 +2,14 @@
 
 import configparser
 import json
+import math
 import os
+import re
 
 import pytest
 
 from mdiqkd_polcomp.config import parse_config_text
+from mdiqkd_polcomp.decoy import DecoyError
 from mdiqkd_polcomp.reporting import (MANIFEST_NAME,
                                       MISALIGNMENT_CSV_HEADER,
                                       ReportingError, build_manifest,
@@ -92,7 +95,9 @@ def test_manifest_read_errors(tmp_path):
 def test_misalignment_csv_round_trip(tmp_path):
     rows = [(0.0, 0.123456789012345, None, False),
             (15.0, None, 0.05, True),
-            (30.0, 1e-9, None, False)]
+            (30.0, 1e-9, None, False),
+            (45.0, math.pi / 2, None, True),
+            (60.0, None, 0.0, False)]
     path = tmp_path / "trace.csv"
     write_misalignment_csv(path, rows)
     assert read_misalignment_csv(path) == rows
@@ -120,12 +125,26 @@ def test_one_row_per_window_and_alternating_bases(small_report, run_dir):
     ("time_s,theta_z_rad,theta_x_rad,triggered\n1.0,2.0\n",
      "bad misalignment CSV row"),
     ("time_s,theta_z_rad,theta_x_rad,triggered\nx,,0.1,0\n", "bad value"),
+    # Cells that write_misalignment_csv never emits.
+    *((f"time_s,theta_z_rad,theta_x_rad,triggered\n15.0,,0.05,1\n{row}\n",
+       re.escape(f"row {row.split(',')}: {reason}"))
+      for row, reason in (
+          ("0.0,0.1,,7", "triggered '7' is not 0 or 1"),
+          ("0.0,0.1,,-1", "triggered '-1' is not 0 or 1"),
+          ("0.0,0.1,,true", "triggered 'true' is not 0 or 1"),
+          ("0.0,nan,,0", "angle 'nan' is not in [0, pi/2]"),
+          ("0.0,,inf,0", "angle 'inf' is not in [0, pi/2]"),
+          ("0.0,-0.1,,0", "angle '-0.1' is not in [0, pi/2]"),
+          ("0.0,,1.6,0", "angle '1.6' is not in [0, pi/2]"),
+          ("nan,0.1,,0", "time_s 'nan' is not finite"),
+          ("inf,0.1,,0", "time_s 'inf' is not finite"))),
 ])
 def test_misalignment_csv_read_errors(tmp_path, content, match):
     path = tmp_path / "trace.csv"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(ReportingError, match=match):
+    with pytest.raises(ReportingError, match=match) as info:
         read_misalignment_csv(path)
+    assert str(path) in str(info.value)
 
 
 def test_misalignment_read_missing_file(tmp_path):
@@ -189,6 +208,22 @@ def test_summary_rates_match_the_report(small_report, run_dir):
 def test_every_summary_number_recomputes_from_the_artifacts(run_dir):
     emitted = (run_dir / "summary.txt").read_text(encoding="utf-8")
     assert recompute_summary(run_dir) == emitted
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("misalignment_bob.csv", lambda text: text.replace(",0\n", ",7\n", 1)),
+    ("misalignment_alice.csv",
+     lambda text: text.replace(",,", ",nan,", 1)),
+    ("tallies_x.csv", lambda text: text + text.splitlines(True)[1]),
+], ids=["trigger-flag", "nan-angle", "duplicated-tally-row"])
+def test_recompute_summary_refuses_a_damaged_run_directory(run_dir, name,
+                                                           damage):
+    path = run_dir / name
+    path.write_text(damage(path.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    with pytest.raises((ReportingError, DecoyError), match=re.escape(
+            str(path))):
+        recompute_summary(run_dir)
 
 
 def test_summary_bound_fields_are_plain_parseable_numbers():

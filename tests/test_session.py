@@ -51,7 +51,7 @@ def small_config(**overrides) -> SessionConfig:
     (dict(reference_smoothing=0.0), "reference_smoothing"),
     (dict(bound_method="magic"), "bound_method"),
     (dict(error_correction_efficiency=0.9), "error_correction_efficiency"),
-    (dict(table_a="not a table"), "IntensityTable"),
+    (dict(table="not a table"), "IntensityTable"),
     (dict(detector=None), "DetectorParams"),
     (dict(schedule=3), "BasisSchedule"),
     (dict(controller="x"), "ControllerConfig"),
@@ -115,7 +115,8 @@ def test_sift_counts_correlated_bits_as_errors():
 
 def test_sift_excludes_decoy_intensities():
     columns = _announced((6, "psi_plus", ("Z", "nu"), ("Z", "mu")))
-    kept, _ = sift(*columns, "Z")
+    kept, _ = sift(*columns, "Z", bits_a=np.array([0]),
+                   bits_b=np.array([1]))
     assert kept.size == 0
 
 
@@ -377,14 +378,6 @@ def test_per_slot_backend_agrees_statistically_with_aggregate():
     assert abs(sift_agg - sift_slot) < 6.0 * np.sqrt(max(sift_agg, sift_slot, 1))
 
 
-def test_asymmetric_intensity_tables_skip_decoy_analysis():
-    table_b = IntensityTable(mu=0.3, nu=0.07, omega=0.001,
-                             p_mu=0.52, p_nu=0.33, p_omega=0.15)
-    report = run_session(small_config(table_b=table_b))
-    assert report.bounds == {"Z": None, "X": None}
-    assert report.rates == {"Z": None, "X": None}
-
-
 def test_controller_config_threshold_controls_triggering():
     # An absurdly high threshold never triggers; retardances never move.
     config = small_config(controller=ControllerConfig(threshold=1.5))
@@ -424,12 +417,11 @@ def test_sample_window_slots_calls_tile_a_window():
 
 def _arm_coefficients(config, meas_basis, channel_a, channel_b):
     """(c0, Re c1, Im c1) per (pair, arm), pair = idx_a * 12 + idx_b."""
-    classes_a = engine.DecisionClasses.build(config.table_a)
-    classes_b = engine.DecisionClasses.build(config.table_b)
-    c0, c1 = phase_coefficients(classes_a.states @ channel_a.T,
-                                classes_a.mean_photons,
-                                classes_b.states @ channel_b.T,
-                                classes_b.mean_photons, meas_basis)
+    classes = engine.DecisionClasses.build(config.table)
+    c0, c1 = phase_coefficients(classes.states @ channel_a.T,
+                                classes.mean_photons,
+                                classes.states @ channel_b.T,
+                                classes.mean_photons, meas_basis)
     return [x.reshape(144, 2) for x in (c0, c1.real, c1.imag)]
 
 
@@ -462,8 +454,8 @@ def _dense_window_slots(config, window_index, n_slots, meas_basis,
     """
     slots = np.arange(n_slots, dtype=np.uint64) + np.uint64(window_index << 40)
     (bits_a, bases_a, ints_a), (bits_b, bases_b, ints_b) = (
-        _float_decisions(config.seed * 2 + k, slots, table)
-        for k, table in enumerate((config.table_a, config.table_b)))
+        _float_decisions(config.seed * 2 + k, slots, config.table)
+        for k in range(2))
     pair = (bases_a * 6 + bits_a * 3 + ints_a) * 12 \
         + bases_b * 6 + bits_b * 3 + ints_b
     phases = draw_phases(config.seed * 2, slots) \
@@ -499,8 +491,7 @@ THINNING_CASES = {
     "unit efficiency": SessionConfig(seed=23, detector=DetectorParams(
         efficiency=1.0)),
     "no near-vacuum decoy": SessionConfig(
-        seed=24, table_a=IntensityTable(p_mu=0.6, p_nu=0.4, p_omega=0.0),
-        table_b=IntensityTable(p_mu=0.6, p_nu=0.4, p_omega=0.0)),
+        seed=24, table=IntensityTable(p_mu=0.6, p_nu=0.4, p_omega=0.0)),
 }
 
 
@@ -650,7 +641,7 @@ def test_per_slot_outcomes_fit_the_window_kernel(seed):
     # the detector here sees about ten times as many.
     config = SessionConfig(seed=seed, detector=DetectorParams(efficiency=0.5))
     rng = np.random.default_rng(seed)
-    classes = engine.DecisionClasses.build(config.table_a)
+    classes = engine.DecisionClasses.build(config.table)
     wrong_detector = DetectorParams(
         efficiency=1.10 * config.detector.efficiency,
         dark_prob=config.detector.dark_prob)
@@ -663,7 +654,7 @@ def test_per_slot_outcomes_fit_the_window_kernel(seed):
                 (CHANNEL_A, wrong_detector, False),
                 (turned_a, config.detector, False)):
             probs = engine.window_class_probabilities(
-                classes, classes, channel_a, CHANNEL_B, meas_basis, detector)
+                classes, channel_a, CHANNEL_B, meas_basis, detector)
             p_value = _g_test_p_value(combo, outcomes, probs)
             if fits:
                 assert p_value > 1e-3, (meas_basis, p_value)

@@ -7,26 +7,17 @@ import numpy as np
 import pytest
 
 from mdiqkd_polcomp import wire
-from mdiqkd_polcomp.wire import (BasisIntensityReveal, BsmResult,
-                                 CompensatorState, FrameDecoder,
-                                 MisalignmentAnnouncement,
-                                 PolarizationBitReveal, SessionEnd,
-                                 WindowSummary, WireError, decode_payload,
-                                 encode_message)
+from mdiqkd_polcomp.wire import (CompensatorState, FrameDecoder,
+                                 MisalignmentAnnouncement, SessionEnd,
+                                 WireError, decode_payload, encode_message)
 
 EXAMPLES = [
-    BsmResult(slot=12345, basis="Z", outcome="psi_plus"),
-    BsmResult(slot=0, basis="X", outcome="single_second"),
-    BasisIntensityReveal(user="alice", slot=7, basis="X", intensity="omega"),
-    PolarizationBitReveal(user="bob", slot=99, bit=1),
     MisalignmentAnnouncement(user="alice", window=4, theta_z=0.125,
                              theta_x=None),
     MisalignmentAnnouncement(user="bob", window=0, theta_z=None,
                              theta_x=0.01),
     CompensatorState(user="bob", window=3,
                      retardances=(0.1, -0.2, 0.0, 1.5), triggered=True),
-    WindowSummary(window=9, meas_basis="X",
-                  counts={"key_candidate": 3, "recycled": 17}),
     SessionEnd(reason="schedule complete"),
 ]
 
@@ -58,25 +49,13 @@ def test_encoding_is_deterministic():
 
 def test_random_round_trip_property():
     rng = np.random.default_rng(2024)
-    outcomes = ("psi_plus", "single_first", "single_second", "no_click")
     count = 0
     for _ in range(10_000):
-        kind = rng.integers(0, 5)
+        kind = rng.integers(0, 3)
         if kind == 0:
-            msg = BsmResult(slot=int(rng.integers(0, 2**52)),
-                            basis="ZX"[rng.integers(0, 2)],
-                            outcome=outcomes[rng.integers(0, 4)])
+            msg = SessionEnd(reason=("complete", "schedule complete",
+                                     "")[rng.integers(0, 3)])
         elif kind == 1:
-            msg = BasisIntensityReveal(
-                user=("alice", "bob")[rng.integers(0, 2)],
-                slot=int(rng.integers(0, 2**52)),
-                basis="ZX"[rng.integers(0, 2)],
-                intensity=("mu", "nu", "omega")[rng.integers(0, 3)])
-        elif kind == 2:
-            msg = PolarizationBitReveal(
-                user=("alice", "bob")[rng.integers(0, 2)],
-                slot=int(rng.integers(0, 2**52)), bit=int(rng.integers(0, 2)))
-        elif kind == 3:
             msg = MisalignmentAnnouncement(
                 user=("alice", "bob")[rng.integers(0, 2)],
                 window=int(rng.integers(0, 10**6)),
@@ -114,8 +93,7 @@ def test_truncated_frame_waits_for_more_bytes():
 
 
 def test_malformed_body_raises_then_resyncs_without_loss():
-    good_before = encode_message(BsmResult(slot=1, basis="Z",
-                                           outcome="psi_plus"))
+    good_before = encode_message(SessionEnd(reason="before"))
     bad_body = b"{not json"
     bad = struct.pack(">I", len(bad_body)) + bad_body
     good_after = encode_message(SessionEnd())
@@ -124,8 +102,7 @@ def test_malformed_body_raises_then_resyncs_without_loss():
         decoder.feed(good_before + bad + good_after)
     # The parse error consumed the bad frame only; everything parsed
     # before the error and everything after it is still delivered.
-    assert decoder.feed(b"") == [
-        BsmResult(slot=1, basis="Z", outcome="psi_plus"), SessionEnd()]
+    assert decoder.feed(b"") == [SessionEnd(reason="before"), SessionEnd()]
 
 
 def test_unknown_type_raises_and_resyncs():
@@ -135,6 +112,53 @@ def test_unknown_type_raises_and_resyncs():
     with pytest.raises(WireError, match="unknown message type"):
         decoder.feed(frame + encode_message(SessionEnd()))
     assert decoder.feed(b"") == [SessionEnd()]
+
+
+# Type tags of messages that no node sends; they are not in the protocol.
+@pytest.mark.parametrize("payload", [
+    {"type": "window_summary", "window": 9, "meas_basis": "X",
+     "counts": {"key_candidate": 3}},
+    {"type": "bsm_result", "slot": 1, "basis": "Z", "outcome": "psi_plus"},
+    {"type": "basis_intensity_reveal", "user": "alice", "slot": 7,
+     "basis": "X", "intensity": "omega"},
+    {"type": "polarization_bit_reveal", "user": "bob", "slot": 99, "bit": 1},
+], ids=lambda payload: payload["type"])
+def test_frames_of_unsent_types_are_unknown(payload):
+    body = json.dumps({**payload, "v": 1}, sort_keys=True,
+                      separators=(",", ":")).encode()
+    decoder = FrameDecoder()
+    with pytest.raises(WireError, match=f"unknown message type "
+                                        f"'{payload['type']}'"):
+        decoder.feed(struct.pack(">I", len(body)) + body
+                     + encode_message(SessionEnd()))
+    assert decoder.feed(b"") == [SessionEnd()]
+
+
+# One frame of each type, byte for byte as protocol version 1 writes it.
+PINNED_FRAMES = {
+    "compensator_state": (
+        CompensatorState(user="bob", window=3,
+                         retardances=(0.1, -0.2, 0.0, 1.5), triggered=True),
+        b'\x00\x00\x00l{"retardances":[0.1,-0.2,0.0,1.5],"triggered":true,'
+        b'"type":"compensator_state","user":"bob","v":1,"window":3}'),
+    "misalignment": (
+        MisalignmentAnnouncement(user="alice", window=917, theta_z=None,
+                                 theta_x=0.07318290563720176),
+        b'\x00\x00\x00f{"theta_x":0.07318290563720176,"theta_z":null,'
+        b'"type":"misalignment","user":"alice","v":1,"window":917}'),
+    "session_end": (
+        SessionEnd(reason="schedule complete"),
+        b'\x00\x00\x009{"reason":"schedule complete","type":"session_end",'
+        b'"v":1}'),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED_FRAMES))
+def test_frames_keep_their_pinned_bytes(tag):
+    message, frame = PINNED_FRAMES[tag]
+    assert type(message).type_tag == tag
+    assert encode_message(message) == frame
+    assert FrameDecoder().feed(frame) == [message]
 
 
 def test_wrong_version_rejected():

@@ -39,8 +39,8 @@ from .polarization import (DEFAULT_SQUEEZER_AXES, RETARDANCE_LIMIT,
                            random_misalignment, squeezer_unitary)
 from .session import (SessionConfig, SessionError, SessionFailure,
                       SessionReport, USERS, WindowTrace, analyze_tallies,
-                      recycle_singles, sample_window_slots, sift,
-                      summarize_sifted, user_reveals)
+                      empty_decisions, recycle_singles, sample_window_slots,
+                      sift, slot_decisions, summarize_sifted, user_reveals)
 from .decoy import TallySet
 from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
                    SessionEnd, WireError, encode_message)
@@ -49,8 +49,10 @@ SOCKET_TIMEOUT_S = 60.0
 
 # Slots the per-slot backend samples per call.  Its memory grows with
 # this, not with the window.  On 1.2e7 slots (2e5 Hz for 60 s, median of
-# three runs on a 2-core Intel Xeon, Python 3.11, numpy 2.4) 2^16 took
-# 0.79 s at 45 MB peak RSS, 2^18 0.64 s at 53 MB and 2^20 0.71 s at 88 MB.
+# five runs, each in a fresh process, on a 2-core Intel Xeon, Python
+# 3.11, numpy 2.4) 2^16 took 0.81 s at 45 MB peak RSS, 2^18 0.53 s at
+# 51 MB and 2^20 0.48 s at 81 MB: larger chunks hand fewer chunks to the
+# helper thread, at the cost of memory.
 SLOT_CHUNK = 1 << 18
 
 # Seed-stream tags keep the independent random streams decoupled while
@@ -273,38 +275,59 @@ class CharlieNode:
                       channels: dict) -> engine.WindowRoutes:
         """Per-slot backend: the protocol on slot columns plus cross-checks.
 
-        The window is sampled in chunks of SLOT_CHUNK slots.  Each chunk's
+        The window is sampled in chunks of SLOT_CHUNK slots.  A helper
+        thread writes the next chunk's decisions into the spare one of
+        two buffers while this thread samples the current chunk, so every
+        rng draw stays on this thread in slot order.  The pool lives for
+        one window and is shut down when it ends or fails.  Each chunk's
         reveals pass the privacy check on their own, since chunks hold
         disjoint slots; the slot-level recycling and sifting sums are
         checked against the aggregate accounting once per window.
         """
+        # Imported here, off the command line's import path.
+        from concurrent.futures import ThreadPoolExecutor
+
         outcome_counts = np.zeros((12, 12, 4), dtype=np.int64)
         slot_singles = {user: {} for user in USERS}
         n_sifted = 0
-        for start in range(0, n_slots, SLOT_CHUNK):
-            slots, outcomes, pairs, counts = sample_window_slots(
-                self.config, index, min(SLOT_CHUNK, n_slots - start),
-                meas_basis, channels["alice"], channels["bob"], self.rng,
-                start)
-            outcome_counts += counts
-            reveals, bit_reveals, bits = user_reveals(slots, outcomes, pairs)
-            singles = recycle_singles(slots, outcomes, reveals["alice"],
-                                      reveals["bob"], bit_reveals["alice"],
-                                      bit_reveals["bob"], meas_basis)
-            for user in USERS:
-                sums = slot_singles[user]
-                for label, (n_wrong, n_total) in singles[user].items():
-                    wrong, total = sums.get(label, (0, 0))
-                    sums[label] = (wrong + n_wrong, total + n_total)
-            kept, summary = sift(slots, outcomes, reveals["alice"],
-                                 reveals["bob"], meas_basis, bits["alice"],
-                                 bits["bob"])
-            n_sifted += summary["n_sifted"]
-            revealed = np.concatenate([bit_reveals[user][0] for user in USERS])
-            if np.intersect1d(revealed, kept).size:
-                raise SessionFailure(
-                    f"window {index}: privacy violation - revealed bits "
-                    "overlap the sifted key")
+        chunks = [(start, min(SLOT_CHUNK, n_slots - start))
+                  for start in range(0, n_slots, SLOT_CHUNK)]
+        # Two buffers of the first chunk's size, which no chunk exceeds.
+        buffers = [empty_decisions(chunks[0][1]) for _ in chunks[:2]]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            def decide(chunk: int):
+                return pool.submit(slot_decisions, self.config, index,
+                                   *chunks[chunk], buffers[chunk % 2])
+
+            pending = decide(0) if chunks else None
+            for chunk, (_, size) in enumerate(chunks):
+                pending.result()
+                if chunk + 1 < len(chunks):
+                    pending = decide(chunk + 1)
+                slots, outcomes, pairs, counts = sample_window_slots(
+                    self.config, size, meas_basis, channels["alice"],
+                    channels["bob"], self.rng, buffers[chunk % 2])
+                outcome_counts += counts
+                reveals, bit_reveals, bits = user_reveals(slots, outcomes,
+                                                          pairs)
+                singles = recycle_singles(slots, outcomes, reveals["alice"],
+                                          reveals["bob"], bit_reveals["alice"],
+                                          bit_reveals["bob"], meas_basis)
+                for user in USERS:
+                    sums = slot_singles[user]
+                    for label, (n_wrong, n_total) in singles[user].items():
+                        wrong, total = sums.get(label, (0, 0))
+                        sums[label] = (wrong + n_wrong, total + n_total)
+                kept, summary = sift(slots, outcomes, reveals["alice"],
+                                     reveals["bob"], meas_basis, bits["alice"],
+                                     bits["bob"])
+                n_sifted += summary["n_sifted"]
+                revealed = np.concatenate([bit_reveals[user][0]
+                                           for user in USERS])
+                if np.intersect1d(revealed, kept).size:
+                    raise SessionFailure(
+                        f"window {index}: privacy violation - revealed bits "
+                        "overlap the sifted key")
         routes = engine.route_window(self.classes, meas_basis, outcome_counts)
         for user, singles in zip(USERS, (routes.singles_a, routes.singles_b)):
             # The slot-level route lists only the labels it saw.

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
-from .decoy import TallySet
+from .decoy import DecoyError, TallySet
 from .session import USERS, SessionConfig, SessionReport, analyze_tallies
 from .transmitter import BASIS_LABELS
 
@@ -340,7 +340,7 @@ def emit_traces(report: SessionReport, out_dir) -> dict:
 def _read_tallies(path) -> TallySet:
     try:
         return TallySet.read_csv(path)
-    except OSError as exc:
+    except (OSError, DecoyError) as exc:
         raise ReportingError(f"cannot read {path}: {exc}") from exc
 
 

@@ -9,6 +9,7 @@ vectorizes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-_HASH_BLOCK = 1 << 15
+_HASH_BLOCK = 1 << 14
 
 _DECISION_STREAM = 0x1D
 _PHASE_STREAM = 0x2F
@@ -71,12 +72,13 @@ class IntensityTable:
 
 
 def _splitmix64(words: np.ndarray) -> np.ndarray:
-    # In place, a cache-sized block at a time: on 2^18 words that takes
-    # a third of the time of whole-array passes.
-    z = words + _GOLDEN
-    shifted = np.empty(min(z.size, _HASH_BLOCK), dtype=np.uint64)
-    for start in range(0, z.size, _HASH_BLOCK):
-        block = z[start:start + _HASH_BLOCK]
+    """splitmix64's output mix of words + golden, in place on `words`."""
+    # A cache-sized block at a time: on 2^18 words that takes a third of
+    # the time of whole-array passes.
+    words += _GOLDEN
+    shifted = np.empty(min(words.size, _HASH_BLOCK), dtype=np.uint64)
+    for start in range(0, words.size, _HASH_BLOCK):
+        block = words[start:start + _HASH_BLOCK]
         scratch = shifted[:block.size]
         for shift, mix in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(block, np.uint64(shift), out=scratch)
@@ -84,17 +86,22 @@ def _splitmix64(words: np.ndarray) -> np.ndarray:
             block *= mix
         np.right_shift(block, np.uint64(31), out=scratch)
         block ^= scratch
-    return z
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _stream_base(seed: int, stream: int) -> np.uint64:
+    """The word every slot of one (seed, stream) is XORed with."""
+    # Arithmetic wraps mod 2^64 by design; keep everything in arrays so
+    # numpy applies modular semantics silently.
+    stream_word = _splitmix64(np.array([stream], dtype=np.uint64))
+    return _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+                       ^ stream_word)[0]
 
 
 def _slot_words(seed: int, slots: np.ndarray, stream: int) -> np.ndarray:
     """One 64-bit word per slot, independent across (seed, stream)."""
-    # Arithmetic wraps mod 2^64 by design; keep everything in arrays so
-    # numpy applies modular semantics silently.
-    stream_word = _splitmix64(np.array([stream], dtype=np.uint64))
-    base = _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-                       ^ stream_word)
-    return _splitmix64(slots ^ base[0])
+    return _splitmix64(slots ^ _stream_base(seed, stream))
 
 
 def draw_classes(seed: int, slots: np.ndarray,
@@ -114,12 +121,15 @@ def _classes_from_words(words: np.ndarray,
     # The low two bits are bit + 2*basis.  The intensity compares the
     # uniform (words >> 11) * 2^-53 with the cumulative probabilities;
     # scaling by 2^53 is exact, so on integers that is words >> 11
-    # against each edge's ceil(edge * 2^53).
-    classes = (words & np.uint64(3)).astype(np.uint8)
+    # against each edge's ceil(edge * 2^53), or words against that
+    # times 2^11; words >> 11 stays below 2^53, so no higher edge counts.
+    classes = words.astype(np.uint8)  # the low byte
+    classes &= 3
     classes *= 3
-    top = words >> np.uint64(11)
     for edge in np.cumsum(table.probabilities)[:2]:
-        classes += top >= np.uint64(math.ceil(edge * 2.0 ** 53))
+        top = math.ceil(edge * 2.0 ** 53)
+        if top < 2 ** 53:
+            classes += words >= np.uint64(top << 11)
     return classes
 
 

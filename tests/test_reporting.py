@@ -9,7 +9,6 @@ import re
 import pytest
 
 from mdiqkd_polcomp.config import parse_config_text
-from mdiqkd_polcomp.decoy import DecoyError
 from mdiqkd_polcomp.reporting import (MANIFEST_NAME,
                                       MISALIGNMENT_CSV_HEADER,
                                       ReportingError, build_manifest,
@@ -221,8 +220,7 @@ def test_recompute_summary_refuses_a_damaged_run_directory(run_dir, name,
     path = run_dir / name
     path.write_text(damage(path.read_text(encoding="utf-8")),
                     encoding="utf-8")
-    with pytest.raises((ReportingError, DecoyError), match=re.escape(
-            str(path))):
+    with pytest.raises(ReportingError, match=re.escape(str(path))):
         recompute_summary(run_dir)
 
 

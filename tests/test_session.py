@@ -1,7 +1,11 @@
 """Session orchestration: protocol rules, transports, and closed loop."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, unitary_group
 
-from mdiqkd_polcomp import engine, nodes
+from mdiqkd_polcomp import cli, engine, nodes, transmitter
 from mdiqkd_polcomp.bsm import (OUTCOME_CLASSES, BasisSchedule,
                                 DetectorParams, phase_coefficients)
 from mdiqkd_polcomp.compensation import ControllerConfig
@@ -18,8 +22,10 @@ from mdiqkd_polcomp.polarization import (RETARDANCE_LIMIT,
                                          rotation_about_stokes_axis)
 from mdiqkd_polcomp.reporting import misalignment_digest, misalignment_rows
 from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
-                                    SessionFailure, recycle_singles, run_session,
-                                    sample_window_slots, sift, user_reveals)
+                                    SessionFailure, _thinning_candidates,
+                                    empty_decisions, recycle_singles,
+                                    run_session, sample_window_slots, sift,
+                                    slot_decisions, user_reveals)
 from mdiqkd_polcomp.transmitter import (_DECISION_STREAM, BASIS_LABELS,
                                         INTENSITY_LABELS, IntensityTable,
                                         _slot_words, draw_phases)
@@ -396,17 +402,24 @@ CHANNEL_A = rotation_about_stokes_axis(AXIS_A, 0.4)
 CHANNEL_B = rotation_about_stokes_axis([0.2, -1.0, 0.7], 0.25)
 
 
+def _sample(config, window_index, n_slots, meas_basis, channel_a, channel_b,
+            rng, start=0):
+    """sample_window_slots on slot_decisions of slots [start, start + n)."""
+    decisions = empty_decisions(n_slots)
+    slot_decisions(config, window_index, start, n_slots, decisions)
+    return sample_window_slots(config, n_slots, meas_basis, channel_a,
+                               channel_b, rng, decisions)
+
+
 def test_sample_window_slots_calls_tile_a_window():
     config = SessionConfig(seed=11)
     n_slots, split = 10_007, 4099
     whole_rng = np.random.default_rng(5)
-    whole = sample_window_slots(config, 3, n_slots, "X", CHANNEL_A,
-                                CHANNEL_B, whole_rng)
+    whole = _sample(config, 3, n_slots, "X", CHANNEL_A, CHANNEL_B, whole_rng)
     parts_rng = np.random.default_rng(5)
-    head = sample_window_slots(config, 3, split, "X", CHANNEL_A, CHANNEL_B,
-                               parts_rng, 0)
-    tail = sample_window_slots(config, 3, n_slots - split, "X", CHANNEL_A,
-                               CHANNEL_B, parts_rng, split)
+    head = _sample(config, 3, split, "X", CHANNEL_A, CHANNEL_B, parts_rng, 0)
+    tail = _sample(config, 3, n_slots - split, "X", CHANNEL_A, CHANNEL_B,
+                   parts_rng, split)
     assert len(whole[0]) and len(head[0]) and len(tail[0])
     for column in range(3):
         assert np.array_equal(whole[column], np.concatenate(
@@ -492,6 +505,10 @@ THINNING_CASES = {
         efficiency=1.0)),
     "no near-vacuum decoy": SessionConfig(
         seed=24, table=IntensityTable(p_mu=0.6, p_nu=0.4, p_omega=0.0)),
+    # Some pairs reach eta |c1| >= 2 and a click probability near 1.
+    "bright": SessionConfig(
+        seed=25, table=IntensityTable(mu=4.0, nu=1.0, omega=0.001),
+        detector=DetectorParams(efficiency=1.0)),
 }
 
 
@@ -508,8 +525,8 @@ def test_thinned_sampler_matches_the_dense_reference(case, meas_basis):
         dense, dense_reveals = _dense_window_slots(
             config, index, 1 << 16, meas_basis, channel_a, channel_b,
             dense_rng)
-        thinned = sample_window_slots(config, index, 1 << 16, meas_basis,
-                                      channel_a, channel_b, thinned_rng)
+        thinned = _sample(config, index, 1 << 16, meas_basis, channel_a,
+                          channel_b, thinned_rng)
         assert len(dense[0]) and len(thinned) == len(dense)
         for column, expected in zip(thinned, dense):
             assert np.array_equal(column, expected)
@@ -546,6 +563,112 @@ def test_no_phase_clicks_above_the_thinning_bound(meas_basis):
             p_click = _click_probability(detector, c0[pair], re_c1[pair],
                                          im_c1[pair], phases)
             assert (p_click <= p_max[pair]).all(), (case, pair)
+
+
+@pytest.mark.parametrize("meas_basis", ["Z", "X"])
+@pytest.mark.parametrize("case", sorted(THINNING_CASES))
+def test_two_stage_thinning_keeps_the_per_pair_candidates(case, meas_basis):
+    # The screen by the largest bound must lose no slot that its own
+    # pair's bound keeps, and keep no other.
+    config = THINNING_CASES[case]
+    detector = config.detector
+    rng = np.random.default_rng(config.seed)
+    pair = rng.integers(0, 144, 1 << 16).astype(np.uint8)
+    for _ in range(3):
+        channel_a = unitary_group.rvs(2, random_state=rng)
+        channel_b = unitary_group.rvs(2, random_state=rng)
+        c0, re_c1, im_c1 = _arm_coefficients(config, meas_basis, channel_a,
+                                             channel_b)
+        if case == "bright":
+            assert (detector.efficiency * np.hypot(re_c1, im_c1)
+                    >= 2.0).any()
+        p_max = 1.0 - (1.0 - detector.dark_prob) * np.exp(
+            -detector.efficiency * (c0 + np.abs(re_c1) + np.abs(im_c1)))
+        uniforms = rng.random((len(pair), 2))
+        per_pair = np.flatnonzero((uniforms < p_max[pair]).any(axis=1))
+        assert len(per_pair)
+        assert np.array_equal(_thinning_candidates(uniforms, pair, p_max),
+                              per_pair)
+
+
+def test_slot_decisions_write_the_transmitter_classes_in_place():
+    config = SessionConfig(seed=12)
+    n_slots, start = 16 * transmitter._HASH_BLOCK + 5, 777
+    decisions = empty_decisions(n_slots + 3)
+    tracemalloc.start()
+    try:
+        slot_decisions(config, 2, start, n_slots, decisions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Temporaries of a few hash blocks, never of the whole range: one
+    # uint64 array of n_slots would take 16 blocks' worth of words.
+    assert peak < 4 * 8 * transmitter._HASH_BLOCK
+    slots = np.arange(start, start + n_slots, dtype=np.uint64) \
+        + np.uint64(2 << 40)
+    pairs = 12 * transmitter.draw_classes(config.seed * 2, slots,
+                                          config.table) \
+        + transmitter.draw_classes(config.seed * 2 + 1, slots, config.table)
+    assert np.array_equal(decisions[0][:n_slots], slots)
+    assert np.array_equal(decisions[1][:n_slots], pairs)
+    assert np.array_equal(decisions[2], np.bincount(pairs, minlength=144))
+
+
+@pytest.mark.parametrize("failing_window", [None, 1])
+def test_per_slot_helper_thread_lives_for_one_window(monkeypatch,
+                                                     failing_window):
+    # A window's slots carry its index in bits 40 and up.
+    before = threading.active_count()
+    seen = []
+
+    def recycle(slots, *args):
+        seen.append(threading.active_count())
+        if len(slots) and int(slots[0]) >> 40 == failing_window:
+            raise SessionFailure("injected failure")
+        return recycle_singles(slots, *args)
+
+    monkeypatch.setattr(nodes, "recycle_singles", recycle)
+    config = SessionConfig(duration_s=30.0, rep_rate_hz=2e4, seed=7,
+                           sampling="per-slot")
+    if failing_window is None:
+        run_session(config)
+    else:
+        with pytest.raises(SessionFailure, match="injected failure"):
+            run_session(config)
+    assert set(seen) == {before + 1}
+    assert threading.active_count() == before
+
+
+_PINNED_RUN = """
+import os, sys
+from mdiqkd_polcomp import cli
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_per_slot_artifacts_do_not_depend_on_the_cores(tmp_path):
+    # Pinned to one CPU, the helper thread and the sampler take turns;
+    # otherwise they may overlap.  Two windows of two chunks each.
+    ini = tmp_path / "per_slot.ini"
+    ini.write_text("[session]\nduration_s = 30\nrep_rate_hz = 20000\n",
+                   encoding="utf-8")
+    args = ["simulate", "--config", str(ini), "--seed", "7", "--sampling",
+            "per-slot", "--out"]
+    assert cli.main([*args, str(tmp_path / "default")]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([path] if path else [])))
+    subprocess.run([sys.executable, "-c", _PINNED_RUN, *args,
+                    str(tmp_path / "pinned")], check=True, env=env,
+                   capture_output=True)
+    for name in ("summary.txt", "tallies_z.csv", "tallies_x.csv",
+                 "misalignment_alice.csv", "misalignment_bob.csv"):
+        assert (tmp_path / "pinned" / name).read_bytes() \
+            == (tmp_path / "default" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("chunk", [4099, 1 << 16])
@@ -603,7 +726,7 @@ def _slot_counts(config, index, n_slots, meas_basis, channel_a, channel_b,
     combo = np.zeros((12, 12), dtype=np.int64)
     outcomes = np.zeros((12, 12, 4), dtype=np.int64)
     for start in range(0, n_slots, nodes.SLOT_CHUNK):
-        counts = sample_window_slots(
+        counts = _sample(
             config, index, min(nodes.SLOT_CHUNK, n_slots - start), meas_basis,
             channel_a, channel_b, rng, start)[3]
         combo += counts.sum(axis=2)

@@ -4,9 +4,9 @@ Three nodes take part: two user nodes (alice, bob) that own their
 compensator hardware and feedback state, and the measurement node that
 owns the fiber drift, samples detections, and announces per-window
 misalignment estimates.  Both transports run one serve loop over the
-same length-prefixed JSON frames: in-process, each user node sits
-behind a pair of frame decoders in this process; networked, each user
-runs in its own process and the frames cross TCP sockets.  All
+same immutable message objects: in-process, each user node takes them
+as they are; networked, each user runs in its own process and they
+cross TCP sockets as length-prefixed JSON frames.  All
 randomness is consumed at the measurement node, so both transports
 produce identical reports for identical configurations.
 
@@ -173,7 +173,6 @@ class CharlieNode:
         self._next_window = 0
         self.finished = False
         self.report: SessionReport | None = None
-        self._final_retardances: dict = {}
 
     # -- protocol surface --------------------------------------------------
 
@@ -347,15 +346,16 @@ class CharlieNode:
     # -- completion ----------------------------------------------------------
 
     def _finish(self, final_states: dict) -> None:
-        for user, state in final_states.items():
-            self._final_retardances[user] = tuple(state.retardances)
         bounds, rates = analyze_tallies(self.config, self.tallies)
         self.report = SessionReport(
             duration_s=self.config.duration_s, seed=self.config.seed,
             mode=self.config.mode, sampling=self.config.sampling,
             windows=self.traces, tallies=self.tallies,
             sifted=summarize_sifted(self.tallies), bounds=bounds,
-            rates=rates, final_retardances=dict(self._final_retardances))
+            rates=rates,
+            # USERS' own keys on both transports, for byte-equal pickles.
+            final_retardances={user: tuple(final_states[user].retardances)
+                               for user in USERS})
         self.finished = True
 
 
@@ -363,54 +363,44 @@ class CharlieNode:
 # The serve loop and the in-process transport
 # ---------------------------------------------------------------------------
 
-def _frame(message) -> bytes:
-    try:
-        return encode_message(message)
-    except WireError as exc:
-        raise SessionFailure(f"cannot send {type(message).__name__}: "
-                             f"{exc}") from exc
-
-
 def _serve(charlie: CharlieNode, links: dict) -> SessionReport:
     """Serve windows over `links` until the measurement node finishes.
 
     One message is read per user in fixed user order (alice, then bob),
-    which makes message processing deterministic.  Each destination gets
-    its replies to one message in one write.
+    which makes message processing deterministic, and must name that
+    user.  Each destination gets its replies to one message in one list.
     """
     while not charlie.finished:
         for name in USERS:
-            frames: dict = {}
-            for dest, reply in charlie.handle(links[name].read_message()):
-                frames.setdefault(dest, []).append(_frame(reply))
-            for dest, parts in frames.items():
-                links[dest].send(b"".join(parts))
+            message = links[name].read_message()
+            if getattr(message, "user", name) != name:
+                raise SessionFailure(
+                    f"user {name} sent a {type(message).__name__} that "
+                    f"names user {message.user!r}")
+            replies: dict = {}
+            for dest, reply in charlie.handle(message):
+                replies.setdefault(dest, []).append(reply)
+            for dest, messages in replies.items():
+                links[dest].send(messages)
     assert charlie.report is not None
     return charlie.report
 
 
 class _LocalUser:
-    """A user node in this process, reached through the frames TCP carries."""
+    """A user node in this process, handed message objects directly."""
 
     def __init__(self, name: str, config: SessionConfig):
         self.node = UserNode(name, config)
-        self._to_user = FrameDecoder()
-        self._from_user = FrameDecoder()
-        self.inbox: list = []
-        self._queue([self.node.initial_message()])
-
-    def _queue(self, messages: list) -> None:
-        data = b"".join(_frame(message) for message in messages)
-        self.inbox.extend(self._from_user.feed(data))
+        self.inbox: list = [self.node.initial_message()]
 
     def read_message(self):
         if not self.inbox:
             raise SessionFailure(f"user {self.node.name} has nothing to send")
         return self.inbox.pop(0)
 
-    def send(self, data: bytes) -> None:
-        for message in self._to_user.feed(data):
-            self._queue(self.node.handle(message))
+    def send(self, messages: list) -> None:
+        for message in messages:
+            self.inbox.extend(self.node.handle(message))
 
 
 def run_in_process(config: SessionConfig) -> SessionReport:
@@ -549,7 +539,12 @@ class _UserConnection:
                     f"{self._who()} sent a malformed frame: {exc}") from exc
         return self.inbox.pop(0)
 
-    def send(self, data: bytes) -> None:
+    def send(self, messages: list) -> None:
+        try:
+            data = b"".join(map(encode_message, messages))
+        except WireError as exc:
+            raise SessionFailure(f"cannot send to {self._who()}: "
+                                 f"{exc}") from exc
         try:
             self.conn.sendall(data)
         except OSError as exc:

@@ -3,10 +3,11 @@
 Every message is one frame: a 4-byte big-endian body length followed by
 a UTF-8 JSON object with a "type" tag and protocol version "v": 1.
 JSON bodies are canonical (sorted keys, no whitespace, ASCII only) so
-that a given message always maps to the same bytes; the networked and
-in-process transports therefore produce identical frame streams for
-identical message sequences.  NaN and infinities are not JSON: neither
-the encoder nor the decoder accepts them.
+that a given message always maps to the same bytes.  Only the networked
+transport's sockets carry frames; in-process, the message objects,
+frozen dataclasses of str, int, float, bool, None and float tuples,
+pass as they are.  NaN and infinities are not JSON: neither the
+encoder nor the decoder accepts them.
 
 A session sends three message types.  Per window each user sends one
 compensator state, which stands in for the physical light path in a
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 PROTOCOL_VERSION = 1
 HEADER = struct.Struct(">I")
@@ -76,10 +77,12 @@ class SessionEnd:
 MESSAGE_TYPES = {cls.type_tag: cls for cls in (
     MisalignmentAnnouncement, CompensatorState, SessionEnd)}
 
-# Field names per type tag.  Fields hold only JSON scalars and tuples
-# (which json writes as arrays), so no recursive copy is needed.
-_FIELDS = {tag: tuple(f.name for f in fields(cls))
-           for tag, cls in MESSAGE_TYPES.items()}
+# Each field's JSON types, compared exactly (bool is an int subclass).
+# The measurement node checks the retardance elements and names the user.
+_NUMBER_OR_NULL = (int, float, type(None))
+_FIELD_TYPES = {"user": (str,), "reason": (str,), "window": (int,),
+                "triggered": (bool,), "retardances": (list,),
+                "theta_z": _NUMBER_OR_NULL, "theta_x": _NUMBER_OR_NULL}
 
 
 # One canonical encoder and one decoder for every frame.  NaN and
@@ -100,9 +103,8 @@ def encode_message(message) -> bytes:
     tag = getattr(type(message), "type_tag", None)
     if tag not in MESSAGE_TYPES or not isinstance(message, MESSAGE_TYPES[tag]):
         raise WireError(f"cannot encode object of type {type(message).__name__}")
-    payload = {name: getattr(message, name) for name in _FIELDS[tag]}
-    payload["type"] = tag
-    payload["v"] = PROTOCOL_VERSION
+    # Fields hold only JSON scalars and tuples, which json writes as arrays.
+    payload = {**vars(message), "type": tag, "v": PROTOCOL_VERSION}
     try:
         body = _ENCODER.encode(payload).encode("utf-8")
     except ValueError as exc:
@@ -117,12 +119,16 @@ def decode_payload(payload: dict):
     if not isinstance(payload, dict):
         raise WireError("frame body must be a JSON object")
     version = payload.pop("v", None)
-    if version != PROTOCOL_VERSION:
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise WireError(f"unsupported protocol version {version!r}")
     tag = payload.pop("type", None)
     cls = MESSAGE_TYPES.get(tag)
     if cls is None:
         raise WireError(f"unknown message type {tag!r}")
+    for name, value in payload.items():
+        if type(value) not in _FIELD_TYPES.get(name, (type(value),)):
+            raise WireError(f"bad fields for {tag}: {name} has the wrong "
+                            f"JSON type: {value!r}")
     try:
         if "retardances" in payload:
             payload["retardances"] = tuple(payload["retardances"])
@@ -147,9 +153,7 @@ class FrameDecoder:
 
     def feed(self, data: bytes = b"") -> list:
         self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < HEADER.size:
-                break
+        while len(self._buffer) >= HEADER.size:
             (length,) = HEADER.unpack_from(self._buffer)
             if length > MAX_FRAME_BYTES:
                 del self._buffer[:]

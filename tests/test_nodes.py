@@ -6,6 +6,7 @@ failure must surface as a SessionError that names its cause, in well
 under the transport's last-resort socket timeout.
 """
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from mdiqkd_polcomp import nodes
 from mdiqkd_polcomp.cli import EXIT_SESSION, main
+from mdiqkd_polcomp.config import load_profile
 from mdiqkd_polcomp.polarization import (DriftProcess, misalignment_angles,
                                          random_misalignment,
                                          squeezer_unitary)
@@ -112,6 +114,23 @@ def test_measurement_node_failure_is_not_held_up_by_the_users(monkeypatch):
     assert wall < FAIL_FAST_S
 
 
+def test_measurement_node_reply_that_is_not_json_is_named(monkeypatch):
+    run_window = nodes.CharlieNode._run_window
+
+    def nan_window(self, index, states):
+        replies = run_window(self, index, states)
+        if index == 2:
+            replies = [(user, dataclasses.replace(reply, theta_z=math.nan))
+                       for user, reply in replies]
+        return replies
+
+    monkeypatch.setattr(nodes.CharlieNode, "_run_window", nan_window)
+    message, wall = session_error(networked_config())
+    assert message.startswith("cannot send to user alice: cannot encode "
+                              "misalignment: Out of range float")
+    assert wall < FAIL_FAST_S
+
+
 def test_cli_reports_a_dead_user_as_an_exit_code(monkeypatch, tmp_path,
                                                  capsys):
     def failing_init(self, name, config):
@@ -148,8 +167,7 @@ def test_cli_reports_an_in_process_accounting_fault_as_an_exit_code(
 @pytest.mark.parametrize("retardances, shown", [
     ((7.0, 0.0, 0.0, 0.0), "holds retardance 7.0, outside"),
     ((0.1, 0.2, 0.3), "holds (0.1, 0.2, 0.3), expected 4 retardances"),
-    # Not JSON: the user's encoder refuses it before it reaches the wire.
-    ((0.0, math.nan, 0.0, 0.0), "Out of range float"),
+    ((0.0, math.nan, 0.0, 0.0), "holds retardance nan, outside"),
 ], ids=["out-of-range", "three", "nan"])
 def test_cli_reports_bad_retardances_as_an_exit_code(
         monkeypatch, tmp_path, capsys, mode, retardances, shown):
@@ -169,9 +187,29 @@ def test_cli_reports_bad_retardances_as_an_exit_code(
     assert main(["simulate", "--config", str(ini), "--mode", mode,
                  "--out", str(tmp_path / "run")]) == EXIT_SESSION
     err = capsys.readouterr().err
-    assert shown in err
-    if not math.isnan(sum(retardances)):
+    if mode == "networked" and math.isnan(sum(retardances)):
+        # Not JSON: bob's encoder refuses it before it reaches the wire.
+        assert "Out of range float" in err
+    else:
+        assert shown in err
         assert "bob's compensator state for window 2" in err
+
+
+@pytest.mark.parametrize("mode", ["in-process", "networked"])
+def test_a_state_naming_another_user_is_refused_at_once(monkeypatch, mode):
+    compensator_state = nodes.UserNode._compensator_state
+
+    def impostor_state(self, window, triggered):
+        state = compensator_state(self, window, triggered)
+        if self.name == "alice" and window == 2:
+            state = dataclasses.replace(state, user="mallory")
+        return state
+
+    monkeypatch.setattr(nodes.UserNode, "_compensator_state", impostor_state)
+    message, wall = session_error(networked_config(mode=mode))
+    assert message == ("user alice sent a CompensatorState that names "
+                       "user 'mallory'")
+    assert wall < FAIL_FAST_S
 
 
 def test_both_ends_of_a_live_session_disable_nagle(monkeypatch, tmp_path):
@@ -195,18 +233,32 @@ def test_both_ends_of_a_live_session_disable_nagle(monkeypatch, tmp_path):
         assert values and all(int(value) != 0 for value in values)
 
 
+def link_traffic(config: SessionConfig) -> list:
+    """Run an in-process session; return every message the serve loop
+    takes from a user's link or hands to one, in order."""
+    traffic = []
+    read_message, send = nodes._LocalUser.read_message, nodes._LocalUser.send
+
+    def recording_read(self):
+        message = read_message(self)
+        traffic.append(message)
+        return message
+
+    def recording_send(self, messages):
+        traffic.extend(messages)
+        send(self, messages)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nodes._LocalUser, "read_message", recording_read)
+        patch.setattr(nodes._LocalUser, "send", recording_send)
+        run_session(config)
+    return traffic
+
+
 def test_in_process_wire_traffic_is_one_state_and_one_announcement_per_user():
-    sent = []
-
-    def recording_encode(message):
-        sent.append(message)
-        return encode_message(message)
-
     config = networked_config(mode="in-process")
     n_windows = len(config.windows())
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nodes, "encode_message", recording_encode)
-        run_session(config)
+    sent = link_traffic(config)
     assert n_windows == 4
     assert Counter(type(message) for message in sent) == {
         CompensatorState: 2 + 2 * n_windows,
@@ -221,6 +273,24 @@ def test_in_process_wire_traffic_is_one_state_and_one_announcement_per_user():
         assert sorted(m.user for m in sent
                       if isinstance(m, MisalignmentAnnouncement)
                       and m.window == window) == sorted(USERS)
+
+
+def test_every_message_handed_over_survives_a_frame_and_is_immutable():
+    # The in-process transport passes message objects; the networked one
+    # frames them.  Both must carry the same values.
+    config = dataclasses.replace(load_profile("reference-defaults"),
+                                 duration_s=60.0)
+    traffic = link_traffic(config)
+    assert {type(message) for message in traffic} \
+        == set(MESSAGE_TYPES.values())
+    for message in traffic:
+        assert FrameDecoder().feed(encode_message(message)) == [message]
+        for field in dataclasses.fields(message):
+            value = getattr(message, field.name)
+            assert type(value) in (str, int, float, bool, type(None)) or (
+                type(value) is tuple
+                and all(type(item) is float for item in value)), \
+                (message, field.name)
 
 
 def test_in_process_user_with_nothing_to_send_is_named(monkeypatch):
@@ -262,15 +332,9 @@ def test_user_node_refuses_a_compensator_state():
         user.handle(state)
 
 
-def test_a_session_sends_every_message_type_and_no_other(monkeypatch):
-    sent = Counter()
-    encode = nodes.encode_message
-
-    def counting_encode(message):
-        sent[type(message)] += 1
-        return encode(message)
-    monkeypatch.setattr(nodes, "encode_message", counting_encode)
-    run_session(networked_config(mode="in-process"))
+def test_a_session_sends_every_message_type_and_no_other():
+    sent = Counter(type(message) for message in
+                   link_traffic(networked_config(mode="in-process")))
     # Windows 0 to 3: a state per user per window plus each closing
     # state, an announcement per user per window, one end per user.
     assert sent == {CompensatorState: 10, MisalignmentAnnouncement: 8,

@@ -165,6 +165,12 @@ def test_wrong_version_rejected():
     body = json.dumps({"reason": "x", "type": "session_end", "v": 2}).encode()
     with pytest.raises(WireError, match="unsupported protocol version"):
         decode_payload(json.loads(body.decode()))
+    # Equal to 1 in Python, but not the integer 1 in JSON.
+    for version in (True, 1.0):
+        with pytest.raises(WireError, match=f"unsupported protocol version "
+                                            f"{version!r}"):
+            decode_payload({"reason": "x", "type": "session_end",
+                            "v": version})
 
 
 def test_missing_version_rejected():
@@ -178,6 +184,33 @@ def test_bad_fields_rejected():
     with pytest.raises(WireError, match="bad fields for compensator_state"):
         decode_payload({"type": "compensator_state", "v": 1, "user": "bob",
                         "window": 0, "retardances": 5})
+    announcement = {"type": "misalignment", "v": 1, "user": "alice",
+                    "window": 1, "theta_z": 0.1, "theta_x": None}
+    compensator = {"type": "compensator_state", "v": 1, "user": "bob",
+                   "window": 0, "retardances": [0.0, 0.0, 0.0, 0.0],
+                   "triggered": False}
+    for payload, field, value in [
+            (announcement, "window", True),
+            (announcement, "window", 1.0),
+            (announcement, "window", "1"),
+            (announcement, "theta_z", "oops"),
+            (announcement, "theta_x", False),
+            (announcement, "theta_z", [0.1]),
+            (announcement, "user", 7),
+            (announcement, "user", None),
+            (compensator, "triggered", 1),
+            (compensator, "triggered", None),
+            (compensator, "window", None),
+            (compensator, "retardances", "0.0"),
+            ({"type": "session_end", "v": 1}, "reason", 0)]:
+        with pytest.raises(WireError, match=f"bad fields for "
+                                            f"{payload['type']}: {field} "):
+            decode_payload({**payload, field: value})
+    # Integer angles are JSON numbers; retardance elements are checked by
+    # the measurement node.
+    assert decode_payload({**announcement, "theta_z": 0}).theta_z == 0
+    assert decode_payload({**compensator, "retardances": [True, 0, 0, 0]}
+                          ).retardances == (True, 0, 0, 0)
 
 
 def test_non_object_body_rejected():

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import JONES_STATES
+from .polarization import JONES_STATES, bb84_state
 
 OUTCOME_PSI_PLUS = "psi_plus"
 OUTCOME_SINGLE_FIRST = "single_first"
@@ -183,6 +183,14 @@ def class_probability_grid(states_a: np.ndarray, mus_a: np.ndarray,
     ], axis=-1)
 
 
+def _pair_states(pair_basis: str, channel_a, channel_b) -> tuple:
+    """Both bits' pair_basis states as each sender's channel delivers them."""
+    states = np.stack([bb84_state(pair_basis, bit) for bit in (0, 1)])
+    return tuple(states if channel is None
+                 else states @ np.asarray(channel, dtype=complex).T
+                 for channel in (channel_a, channel_b))
+
+
 def pair_gain_and_qber(pair_basis: str, meas_basis: str,
                        mu_a: float, mu_b: float, params: DetectorParams,
                        channel_a: np.ndarray | None = None,
@@ -197,17 +205,7 @@ def pair_gain_and_qber(pair_basis: str, meas_basis: str,
     anticorrelated in the measurement basis and correlated in its
     conjugate).  Returns (gain, qber); qber is NaN when the gain is zero.
     """
-    from .polarization import bb84_state
-
-    states = np.stack([bb84_state(pair_basis, bit) for bit in (0, 1)])
-    if channel_a is not None:
-        states_a = states @ np.asarray(channel_a, dtype=complex).T
-    else:
-        states_a = states
-    if channel_b is not None:
-        states_b = states @ np.asarray(channel_b, dtype=complex).T
-    else:
-        states_b = states
+    states_a, states_b = _pair_states(pair_basis, channel_a, channel_b)
     grid = class_probability_grid(states_a, np.full(2, float(mu_a)),
                                   states_b, np.full(2, float(mu_b)),
                                   meas_basis, params)
@@ -232,17 +230,7 @@ def monte_carlo_pair(pair_basis: str, meas_basis: str,
     assembled directly from sampled bits and phases, and detector clicks
     are Bernoulli draws.  Returns (gain, n_correct, n_wrong).
     """
-    from .polarization import bb84_state
-
-    states = np.stack([bb84_state(pair_basis, bit) for bit in (0, 1)])
-    if channel_a is not None:
-        states_a = states @ np.asarray(channel_a, dtype=complex).T
-    else:
-        states_a = states
-    if channel_b is not None:
-        states_b = states @ np.asarray(channel_b, dtype=complex).T
-    else:
-        states_b = states
+    states_a, states_b = _pair_states(pair_basis, channel_a, channel_b)
     bras = ARM_PROJECTORS[meas_basis]
     bits_a = rng.integers(0, 2, size=n_trials)
     bits_b = rng.integers(0, 2, size=n_trials)

@@ -238,76 +238,33 @@ def _cmd_simulate(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _combined(rates: list) -> list:
-    """The [combined] section: mean of the halves' available rates."""
-    valid = [rate for rate in rates if rate is not None]
-    mean = sum(valid) / len(valid) if valid else None
-    return ["[combined]", f"mean_key_rate_bits_per_pulse = {fmt(mean)}"]
+def _gain_half(config, half: str, method: str, grids: dict,
+               published: dict | None = None) -> tuple:
+    """(Y11 lower, e11 upper, key rate, tail lines) of one half's gains.
 
-
-def _analysis_lines_from_rates(bounds: dict, rates: dict) -> list:
-    lines, half_rates = [], []
-    for half in BASIS_LABELS:
-        y11_lower, e11_upper, rate = rated_values(half, bounds, rates)
-        lines += half_section(half, y11_lower, e11_upper, rate)
-        half_rates.append(rate)
-    return lines + _combined(half_rates)
-
-
-def _analyze_published(config, method: str) -> list:
-    """Rates from the published single-photon bounds, plus own bounds.
-
-    The published dataset ships as gain tables plus the original
-    summary values.  Key rates use the published yield/error bounds
-    through this package's rate formula; the own_* rows report what
-    this package's bounding backends extract from the same gain
-    tables (known to be looser — see the decoy module).
+    The bounds are this package's own, and the rate takes its signal
+    gain and QBER from the grid's mu-mu cell; a half with zero signal
+    gain gets no rate.  With `published` summary values the half is
+    rated on the published Y11 and e11 instead, and the tail lines
+    report the published rate and the own bounds (known to be looser;
+    see the decoy module).
     """
-    lines = ["# published_* values come from the bundled dataset;",
-             "# own_* bounds are recomputed from its gain tables.",
-             ""]
-    rates = []
-    for half in BASIS_LABELS:
-        grids, summary = load_reference_half(half)
-        own = bound_y11_e11(grids, config.table, half, method=method)
-        q_signal = float(grids[half].q[0, 0])
-        e_signal = float(grids[half].eq[0, 0] / q_signal)
-        published_y11 = summary[f"y11_lower_{half.lower()}"]
-        rate = key_rate(p11(config.table.mu), published_y11,
-                        summary["e11_upper"], q_signal, e_signal,
-                        config.error_correction_efficiency)
-        rates.append(rate.rate)
-        lines += half_section(
-            half, published_y11, summary["e11_upper"], rate.rate,
-            tail=[f"published_key_rate_bits_per_pulse = "
-                  f"{fmt(summary['key_rate'])}",
-                  f"own_y11_lower = {fmt(own.y11_lower[half])}",
-                  f"own_e11_upper = {fmt(own.e11_upper)}"])
-    return lines + _combined(rates)
-
-
-def _analyze_tally_files(config, path_z, path_x) -> list:
-    tallies = {half: _read_input(TallySet.read_csv, path)
-               for half, path in zip(BASIS_LABELS, (path_z, path_x))}
-    bounds, rates = analyze_tallies(config, tallies)
-    return _analysis_lines_from_rates(bounds, rates)
-
-
-def _analyze_gain_files(config, path_z, path_x, method: str) -> list:
-    bounds: dict = {}
-    rates: dict = {}
-    for half, path in zip(BASIS_LABELS, (path_z, path_x)):
-        grids = _read_input(read_gain_csv, path)
-        half_bounds = bound_y11_e11(grids, config.table, half, method=method)
-        bounds[half], rates[half] = half_bounds, None
-        q_signal = float(grids[half].q[0, 0])
-        if q_signal > 0.0:
-            e_signal = float(grids[half].eq[0, 0] / q_signal)
-            rates[half] = key_rate(p11(config.table.mu),
-                                   half_bounds.y11_lower[half],
-                                   half_bounds.e11_upper, q_signal, e_signal,
-                                   config.error_correction_efficiency)
-    return _analysis_lines_from_rates(bounds, rates)
+    own = bound_y11_e11(grids, config.table, half, method=method)
+    y11_lower, e11_upper, tail = own.y11_lower[half], own.e11_upper, []
+    if published is not None:
+        y11_lower = published[f"y11_lower_{half.lower()}"]
+        e11_upper = published["e11_upper"]
+        tail = [f"published_key_rate_bits_per_pulse = "
+                f"{fmt(published['key_rate'])}",
+                f"own_y11_lower = {fmt(own.y11_lower[half])}",
+                f"own_e11_upper = {fmt(own.e11_upper)}"]
+    q_signal = float(grids[half].q[0, 0])
+    rate = None
+    if q_signal > 0.0:
+        rate = key_rate(p11(config.table.mu), y11_lower, e11_upper, q_signal,
+                        float(grids[half].eq[0, 0] / q_signal),
+                        config.error_correction_efficiency).rate
+    return y11_lower, e11_upper, rate, tail
 
 
 def _read_input(reader, path):
@@ -332,17 +289,33 @@ def _cmd_analyze(args, parser) -> int:
     if args.method is not None:
         config = replace(config, bound_method=args.method)
     method = config.bound_method
+    lines = []
     if args.published:
-        lines = _analyze_published(config, method)
+        lines = ["# published_* values come from the bundled dataset;",
+                 "# own_* bounds are recomputed from its gain tables.", ""]
+        halves = [_gain_half(config, half, method, *load_reference_half(half))
+                  for half in BASIS_LABELS]
     elif args.tallies_z or args.tallies_x:
         if not (args.tallies_z and args.tallies_x):
             parser.error("--tallies-z and --tallies-x are both required")
-        lines = _analyze_tally_files(config, args.tallies_z, args.tallies_x)
+        tallies = {half: _read_input(TallySet.read_csv, path) for half, path
+                   in zip(BASIS_LABELS, (args.tallies_z, args.tallies_x))}
+        bounds, rates = analyze_tallies(config, tallies)
+        halves = [(*rated_values(half, bounds, rates), [])
+                  for half in BASIS_LABELS]
     else:
         if not (args.gains_z and args.gains_x):
             parser.error("--gains-z and --gains-x are both required")
-        lines = _analyze_gain_files(config, args.gains_z, args.gains_x,
-                                    method)
+        halves = [_gain_half(config, half, method,
+                             _read_input(read_gain_csv, path))
+                  for half, path in zip(BASIS_LABELS,
+                                        (args.gains_z, args.gains_x))]
+    for half, (y11_lower, e11_upper, rate, tail) in zip(BASIS_LABELS, halves):
+        lines += half_section(half, y11_lower, e11_upper, rate, tail=tail)
+    # [combined]: the mean of the halves' available rates.
+    rates = [rate for _, _, rate, _ in halves if rate is not None]
+    mean = sum(rates) / len(rates) if rates else None
+    lines += ["[combined]", f"mean_key_rate_bits_per_pulse = {fmt(mean)}"]
     _print_lines(lines, args.out, "analysis.txt")
     return EXIT_OK
 

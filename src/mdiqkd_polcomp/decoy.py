@@ -21,7 +21,8 @@ Two bounding backends are provided:
 
   is a valid lower bound.  The analogous sum W_nu built from error
   gains has only nonnegative terms, giving
-  e_11 <= W_nu / ((nu-w)^2 Y_11^L).
+  e_11 <= W_nu / ((nu-w)^2 Y_11^L).  H_a and W_nu are one combination,
+  `_two_decoy_combination`, over gains and over error gains.
 
 - lp: linear program over yields {Y_nm} and error-weighted yields
   {Z_nm = e_nm Y_nm}, n, m <= N_CUT, with each observed gain bracketing
@@ -55,6 +56,9 @@ GAIN_CSV_HEADER = ("basis", "intensity_A", "intensity_B",
                    "gain", "gain_sigma", "qber", "qber_sigma")
 # Photon numbers n, m <= N_CUT enter the LP; the rest is its tail.
 N_CUT = 7
+# LP variables: the yields Y_nm, row-major in (n, m), then the Z_nm.
+_LP_YIELDS = (N_CUT + 1) ** 2
+_Y11 = N_CUT + 2
 # Every LP gain window is widened by this much on both sides.  This
 # simulator's own tallies miss the unwidened windows by 1e-11 to 1e-9
 # (a cell observed at zero has a window of width 1e-19), while the
@@ -105,6 +109,12 @@ TALLY_SHAPE = (len(BASIS_LABELS), len(INTENSITY_LABELS),
 _ORDER_GAPS = np.array([[1, 0, 0], [-1, 1, 0], [0, -1, 1]], dtype=np.int64)
 
 
+def _check_cell_order(sent: int, coincidences: int, errors: int) -> None:
+    if not 0 <= errors <= coincidences <= sent:
+        raise DecoyError(f"tally cell must satisfy errors <= coincidences "
+                         f"<= sent, got {errors}/{coincidences}/{sent}")
+
+
 class TallyCell(NamedTuple):
     """Counts for one (preparation basis, intensity pair) cell."""
 
@@ -136,11 +146,8 @@ class TallySet:
         """Add a TALLY_SHAPE array of counts, checking every cell."""
         total = self.counts + counts
         if (total @ _ORDER_GAPS).min() < 0:
-            for sent, coincidences, errors in total.reshape(-1, 3).tolist():
-                if not 0 <= errors <= coincidences <= sent:
-                    raise DecoyError(
-                        f"tally cell must satisfy errors <= coincidences "
-                        f"<= sent, got {errors}/{coincidences}/{sent}")
+            for cell in total.reshape(-1, 3).tolist():
+                _check_cell_order(*cell)
         self.counts = total
 
     def record(self, basis: str, intensity_a: str, intensity_b: str,
@@ -159,57 +166,72 @@ class TallySet:
             _cell_index(basis, intensity_a, intensity_b)].tolist())
 
     def gain_grid(self, basis: str) -> "GainGrid":
-        """Gains and error gains with binomial 1-sigma uncertainties."""
-        n = len(INTENSITY_LABELS)
-        q = np.zeros((n, n))
-        qs = np.zeros((n, n))
-        eq = np.zeros((n, n))
-        eqs = np.zeros((n, n))
-        for i, ia in enumerate(INTENSITY_LABELS):
-            for j, ib in enumerate(INTENSITY_LABELS):
-                cell = self.cell(basis, ia, ib)
-                if cell.sent:
-                    q[i, j] = cell.coincidences / cell.sent
-                    eq[i, j] = cell.errors / cell.sent
-                    qs[i, j] = math.sqrt(max(q[i, j] * (1 - q[i, j]), 1e-30)
-                                         / cell.sent)
-                    eqs[i, j] = math.sqrt(max(eq[i, j] * (1 - eq[i, j]), 1e-30)
-                                          / cell.sent)
-        return GainGrid(q=q, q_sigma=qs, eq=eq, eq_sigma=eqs)
+        """Gains and error gains with binomial 1-sigma uncertainties.
+
+        A cell with nothing sent has zero gains and zero uncertainties.
+        """
+        counts = self.counts[_cell_index(basis, "mu", "mu")[0]]
+        sent = np.maximum(counts[..., :1], 1)
+        # Every cell keeps errors <= coincidences <= sent, so an empty
+        # cell's rates are 0 / 1.
+        rates = counts[..., 1:] / sent
+        sigmas = np.where(counts[..., :1] > 0, np.sqrt(
+            np.maximum(rates * (1 - rates), 1e-30) / sent), 0.0)
+        (q, eq), (q_sigma, eq_sigma) = (np.moveaxis(rates, -1, 0),
+                                        np.moveaxis(sigmas, -1, 0))
+        return GainGrid(q=q, q_sigma=q_sigma, eq=eq, eq_sigma=eq_sigma)
 
     def write_csv(self, path) -> None:
+        cells = product(BASIS_LABELS, INTENSITY_LABELS, INTENSITY_LABELS)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(TALLY_CSV_HEADER)
-            for basis in BASIS_LABELS:
-                for ia in INTENSITY_LABELS:
-                    for ib in INTENSITY_LABELS:
-                        cell = self.cell(basis, ia, ib)
-                        writer.writerow([basis, ia, ib, cell.sent,
-                                         cell.coincidences, cell.errors])
+            writer.writerows([*cell, *counts] for cell, counts in zip(
+                cells, self.counts.reshape(-1, 3).tolist()))
 
     @classmethod
     def read_csv(cls, path) -> "TallySet":
         tallies = cls()
-        for cell, counts in _table_rows(path, TALLY_CSV_HEADER, int, "tally",
-                                        BASIS_LABELS).items():
+        for cell, counts in _table_rows(path, TALLY_CSV_HEADER, _tally_values,
+                                        "tally", BASIS_LABELS).items():
             tallies.record(*cell, *counts)
         return tallies
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
+def _tally_values(texts) -> list:
+    """A tally row's (sent, coincidences, errors), in order, in int64."""
+    values = [int(text) for text in texts]
+    _check_cell_order(*values)
+    if values[0] > np.iinfo(np.int64).max:
+        raise ValueError(f"tally counts out of int64 range: {values[0]}")
+    return values
+
+
+def _gain_values(texts) -> list:
+    """A gain row's (gain, gain_sigma, qber, qber_sigma).
+
+    Each must be finite, both rates must lie in [0, 1] and both
+    uncertainties must be nonnegative.
+    """
+    values = [float(text) for text in texts]
+    for text, value in zip(texts, values):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {text!r}")
+    gain, gain_sigma, qber, qber_sigma = values
+    if not (0.0 <= gain <= 1.0 and 0.0 <= qber <= 1.0):
+        raise ValueError("gain and qber must lie in [0, 1]")
+    if gain_sigma < 0.0 or qber_sigma < 0.0:
+        raise ValueError("uncertainties must be nonnegative")
+    return values
 
 
 def _table_rows(path, header: tuple, convert, what: str,
                 bases=None) -> dict:
     """{(basis, intensity_a, intensity_b): values} of a CSV table.
 
-    A wrong header or column count, an unknown label, or a value that
-    `convert` rejects raises DecoyError naming the file and the row.
+    `convert` turns a row's value texts into its values.  A wrong header
+    or column count, an unknown label, or values that `convert` rejects
+    raise DecoyError naming the file and the row.
     The table must hold each cell once, and every intensity pair of
     each of `bases` (default: of each basis it names); a duplicated or
     missing cell raises DecoyError naming the file and the cell.
@@ -225,7 +247,7 @@ def _table_rows(path, header: tuple, convert, what: str,
                 raise DecoyError(f"bad {what} CSV row in {path}: {row}")
             try:
                 _cell_index(*row[:3])
-                values = [convert(cell) for cell in row[3:]]
+                values = convert(row[3:])
             except (DecoyError, ValueError) as exc:
                 raise DecoyError(f"bad {what} CSV row in {path}: {row}: "
                                  f"{exc}") from exc
@@ -262,8 +284,11 @@ class GainGrid:
             if value.shape != (n, n):
                 raise DecoyError(f"{name} must be a {n}x{n} array")
             setattr(self, name, value)
-        if np.any(self.q < 0) or np.any(self.eq < -1e-15):
-            raise DecoyError("gains must be nonnegative")
+        if np.any(self.q < 0) or np.any(self.q > 1) \
+                or np.any(self.eq < -1e-15):
+            raise DecoyError("gains must lie in [0, 1]")
+        if np.any(self.q_sigma < 0) or np.any(self.eq_sigma < 0):
+            raise DecoyError("uncertainties must be nonnegative")
         if np.any(self.eq > self.q + 1e-12):
             raise DecoyError("error gain cannot exceed gain")
 
@@ -271,12 +296,13 @@ class GainGrid:
 def read_gain_csv(path) -> dict:
     """Load published-style gain tables: one GainGrid per preparation basis.
 
-    Every value must be a finite number, and each basis the file names
-    must have all of its intensity pairs.
+    Every value must be a finite number, gains and QBERs must lie in
+    [0, 1] and uncertainties must be nonnegative; each basis the file
+    names must have all of its intensity pairs.
     """
     n = len(INTENSITY_LABELS)
     data = {}
-    for cell, values in _table_rows(path, GAIN_CSV_HEADER, _finite_float,
+    for cell, values in _table_rows(path, GAIN_CSV_HEADER, _gain_values,
                                     "gain").items():
         _, i, j = _cell_index(*cell)
         data.setdefault(cell[0], np.zeros((4, n, n)))[:, i, j] = values
@@ -316,6 +342,17 @@ def load_reference_half(meas_basis: str) -> tuple:
 # Forward model (oracle for synthetic instances and validity tests)
 # ---------------------------------------------------------------------------
 
+def _pair_weights(table: IntensityTable, n_max: int) -> np.ndarray:
+    """Poisson weights of photon numbers n, m <= n_max per intensity pair.
+
+    Element [i, j, n, m] is P(n | a_i) P(m | a_j) for intensities a in
+    the order (mu, nu, omega).
+    """
+    pmf = np.array([[poisson_pmf(k, a) for k in range(n_max + 1)]
+                    for a in table.intensities])
+    return pmf[:, None, :, None] * pmf[None, :, None, :]
+
+
 def forward_gains(yields: np.ndarray, error_rates: np.ndarray,
                   table: IntensityTable) -> GainGrid:
     """Exact gains implied by photon-number yields Y_nm and error rates e_nm.
@@ -331,20 +368,10 @@ def forward_gains(yields: np.ndarray, error_rates: np.ndarray,
         raise DecoyError("yields must lie in [0, 1]")
     if np.any(error_rates < 0) or np.any(error_rates > 1):
         raise DecoyError("error rates must lie in [0, 1]")
-    n_max = yields.shape[0] - 1
-    intensities = [table.mu, table.nu, table.omega]
-    n = len(intensities)
-    q = np.zeros((n, n))
-    eq = np.zeros((n, n))
-    pmf = {a: np.array([poisson_pmf(k, a) for k in range(n_max + 1)])
-           for a in intensities}
-    z = yields * error_rates
-    for i, a in enumerate(intensities):
-        for j, b in enumerate(intensities):
-            weights = np.outer(pmf[a], pmf[b])
-            q[i, j] = float(np.sum(weights * yields))
-            eq[i, j] = float(np.sum(weights * z))
-    zero = np.zeros((n, n))
+    weights = _pair_weights(table, yields.shape[0] - 1)
+    q = (weights * yields).sum(axis=(2, 3))
+    eq = (weights * (yields * error_rates)).sum(axis=(2, 3))
+    zero = np.zeros_like(q)
     return GainGrid(q=q, q_sigma=zero, eq=eq, eq_sigma=zero.copy())
 
 
@@ -352,33 +379,32 @@ def forward_gains(yields: np.ndarray, error_rates: np.ndarray,
 # Analytic two-decoy bounds
 # ---------------------------------------------------------------------------
 
-def _labels_index():
-    return {label: i for i, label in enumerate(INTENSITY_LABELS)}
+def _two_decoy_combination(x: np.ndarray, sigma: np.ndarray,
+                           table: IntensityTable, a_label: str,
+                           shift: float) -> float:
+    """e^{2a} X_aa - e^{a+w} (X_aw + X_wa) + e^{2w} X_ww, shifted.
 
-
-def _h_combination(grid: GainGrid, a: float, omega: float, a_label: str,
-                   shift: float) -> float:
-    """H_a = e^{2a} Q_aa - e^{a+w} (Q_aw + Q_wa) + e^{2w} Q_ww, shifted.
-
-    A positive shift moves each gain by `shift` standard deviations in
-    the direction that decreases H_a (conservative for a lower bound).
+    X is a grid of gains (giving H_a) or of error gains (giving W_a).
+    A positive shift moves each entry by `shift` standard deviations in
+    the direction that decreases the combination.
     """
-    idx = _labels_index()
-    ia, iw = idx[a_label], idx["omega"]
-    q, s = grid.q, grid.q_sigma
-    return (math.exp(2 * a) * (q[ia, ia] - shift * s[ia, ia])
-            - math.exp(a + omega) * ((q[ia, iw] + shift * s[ia, iw])
-                                     + (q[iw, ia] + shift * s[iw, ia]))
-            + math.exp(2 * omega) * (q[iw, iw] - shift * s[iw, iw]))
+    ia, iw = INTENSITY_LABELS.index(a_label), INTENSITY_LABELS.index("omega")
+    a, omega = table.intensities[ia], table.omega
+    return (math.exp(2 * a) * (x[ia, ia] - shift * sigma[ia, ia])
+            - math.exp(a + omega) * ((x[ia, iw] + shift * sigma[ia, iw])
+                                     + (x[iw, ia] + shift * sigma[iw, ia]))
+            + math.exp(2 * omega) * (x[iw, iw] - shift * sigma[iw, iw]))
 
 
 def analytic_y11_lower(grid: GainGrid, table: IntensityTable,
                        shift_sigmas: float = 0.0) -> float:
     """Closed-form lower bound on the two-single-photon yield Y_11."""
     mu, nu, omega = table.mu, table.nu, table.omega
-    h_nu = _h_combination(grid, nu, omega, "nu", shift_sigmas)
+    h_nu = _two_decoy_combination(grid.q, grid.q_sigma, table, "nu",
+                                  shift_sigmas)
     # The mu-side combination enters negatively, so shift it the other way.
-    h_mu = _h_combination(grid, mu, omega, "mu", -shift_sigmas)
+    h_mu = _two_decoy_combination(grid.q, grid.q_sigma, table, "mu",
+                                  -shift_sigmas)
     denominator = mu ** 3 * (nu - omega) ** 2 - nu ** 3 * (mu - omega) ** 2
     if denominator <= 0:
         raise DecoyError("intensity settings leave the bound degenerate "
@@ -389,17 +415,13 @@ def analytic_y11_lower(grid: GainGrid, table: IntensityTable,
 def analytic_e11_upper(grid: GainGrid, table: IntensityTable,
                        y11_lower: float, shift_sigmas: float = 0.0) -> float:
     """Closed-form upper bound on the two-single-photon error rate e_11."""
-    nu, omega = table.nu, table.omega
-    idx = _labels_index()
-    inu, iw = idx["nu"], idx["omega"]
-    eq, s = grid.eq, grid.eq_sigma
-    w_nu = (math.exp(2 * nu) * (eq[inu, inu] + shift_sigmas * s[inu, inu])
-            - math.exp(nu + omega) * ((eq[inu, iw] - shift_sigmas * s[inu, iw])
-                                      + (eq[iw, inu] - shift_sigmas * s[iw, inu]))
-            + math.exp(2 * omega) * (eq[iw, iw] + shift_sigmas * s[iw, iw]))
     if y11_lower <= 0.0:
         return 1.0
-    return min(max(w_nu / ((nu - omega) ** 2 * y11_lower), 0.0), 1.0)
+    # W_nu is an upper bound's numerator, so it is shifted upwards.
+    w_nu = _two_decoy_combination(grid.eq, grid.eq_sigma, table, "nu",
+                                  -shift_sigmas)
+    return min(max(w_nu / ((table.nu - table.omega) ** 2 * y11_lower), 0.0),
+               1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,44 +429,36 @@ def analytic_e11_upper(grid: GainGrid, table: IntensityTable,
 # ---------------------------------------------------------------------------
 
 def _lp_system(grid: GainGrid, table: IntensityTable, shift_sigmas: float):
-    """Inequality system A x <= b over x = [Y_nm..., Z_nm...]."""
-    intensities = [table.mu, table.nu, table.omega]
-    size = (N_CUT + 1) ** 2
+    """Inequality system (A, b, row labels) of A x <= b over x = [Y, Z]."""
+    size = _LP_YIELDS
     rows_a, rows_b, labels = [], [], []
-    pmf = {a: np.array([poisson_pmf(k, a) for k in range(N_CUT + 1)])
-           for a in intensities}
-    for i, a in enumerate(intensities):
-        for j, b in enumerate(intensities):
-            weights = np.outer(pmf[a], pmf[b]).ravel()
-            tail = 1.0 - float(weights.sum())
-            pair = f"{INTENSITY_LABELS[i]}-{INTENSITY_LABELS[j]}"
-            for kind, observed, sigma in (
-                    ("gain", grid.q[i, j], grid.q_sigma[i, j]),
-                    ("error-gain", grid.eq[i, j], grid.eq_sigma[i, j])):
-                if observed == 0.0 and sigma == 0.0:
-                    # An exact zero with no stated uncertainty means the
-                    # cell fell below resolution; it cannot pin yields to
-                    # zero.  Dropping the window only relaxes the bounds.
-                    continue
-                coeff = np.zeros(2 * size)
-                offset = 0 if kind == "gain" else size
-                coeff[offset:offset + size] = weights
-                slack = shift_sigmas * sigma + LP_FEASIBILITY_TOLERANCE
-                rows_a.append(coeff)
-                rows_b.append(observed + slack)
-                labels.append(f"{kind} window {pair} (upper side)")
-                rows_a.append(-coeff)
-                rows_b.append(-(observed - slack - tail))
-                labels.append(f"{kind} window {pair} (lower side)")
+    pair_weights = _pair_weights(table, N_CUT)
+    for (i, label_a), (j, label_b) in product(enumerate(INTENSITY_LABELS),
+                                              repeat=2):
+        weights = pair_weights[i, j].ravel()
+        tail = 1.0 - float(weights.sum())
+        for kind, offset, observed, sigma in (
+                ("gain", 0, grid.q[i, j], grid.q_sigma[i, j]),
+                ("error-gain", size, grid.eq[i, j], grid.eq_sigma[i, j])):
+            if observed == 0.0 and sigma == 0.0:
+                # An exact zero with no stated uncertainty means the cell
+                # fell below resolution; it cannot pin yields to zero.
+                # Dropping the window only relaxes the bounds.
+                continue
+            coeff = np.zeros(2 * size)
+            coeff[offset:offset + size] = weights
+            slack = shift_sigmas * sigma + LP_FEASIBILITY_TOLERANCE
+            rows_a += [coeff, -coeff]
+            rows_b += [observed + slack, -(observed - slack - tail)]
+            labels += [f"{kind} window {label_a}-{label_b} ({side} side)"
+                       for side in ("upper", "lower")]
     # Error-weighted yields cannot exceed yields: Z_nm - Y_nm <= 0.
-    for k in range(size):
-        coeff = np.zeros(2 * size)
-        coeff[size + k] = 1.0
-        coeff[k] = -1.0
-        rows_a.append(coeff)
-        rows_b.append(0.0)
-        labels.append(f"error-weight bound index {k}")
-    return np.array(rows_a), np.array(rows_b), labels, size
+    eye = np.eye(size)
+    a_ub = np.vstack([np.reshape(rows_a, (-1, 2 * size)),
+                      np.hstack([-eye, eye])])
+    b_ub = np.concatenate([rows_b, np.zeros(size)])
+    labels += [f"error-weight bound index {k}" for k in range(size)]
+    return a_ub, b_ub, labels
 
 
 def _lp_diagnose(a_ub: np.ndarray, b_ub: np.ndarray, labels) -> str:
@@ -465,11 +479,13 @@ def _lp_diagnose(a_ub: np.ndarray, b_ub: np.ndarray, labels) -> str:
     return f"{labels[worst]} violated by {slack[worst]:.3g}"
 
 
-def _lp_extreme(a_ub, b_ub, labels, size, index, maximize):
+def _lp_extreme(system, index: int, maximize: bool) -> float:
+    """Minimum (or maximum) of variable `index` over an _lp_system."""
     from scipy.optimize import linprog
-    cost = np.zeros(2 * size)
+    a_ub, b_ub, labels = system
+    cost = np.zeros(a_ub.shape[1])
     cost[index] = -1.0 if maximize else 1.0
-    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * (2 * size),
+    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(0, 1)] * len(cost),
                      method="highs")
     if result.status == 2:
         raise DecoyError("decoy linear program infeasible; most violated "
@@ -483,12 +499,9 @@ def _lp_extreme(a_ub, b_ub, labels, size, index, maximize):
 def lp_bounds(grid: GainGrid, table: IntensityTable,
               shift_sigmas: float = 1.0) -> tuple:
     """(Y_11 lower, Z_11 upper) from the truncated Poisson system."""
-    a_ub, b_ub, labels, size = _lp_system(grid, table, shift_sigmas)
-    y11_index = 1 * (N_CUT + 1) + 1
-    y11_lower = _lp_extreme(a_ub, b_ub, labels, size, y11_index, maximize=False)
-    z11_upper = _lp_extreme(a_ub, b_ub, labels, size, size + y11_index,
-                            maximize=True)
-    return y11_lower, z11_upper
+    system = _lp_system(grid, table, shift_sigmas)
+    return (_lp_extreme(system, _Y11, maximize=False),
+            _lp_extreme(system, _LP_YIELDS + _Y11, maximize=True))
 
 
 # ---------------------------------------------------------------------------
@@ -532,21 +545,23 @@ def bound_y11_e11(grids: dict, table: IntensityTable, meas_basis: str,
             raise DecoyError(f"missing gain grid for basis {basis!r}")
     if shift_sigmas is None:
         shift_sigmas = 0.0 if method == "analytic" else 1.0
-    y11_lower = {}
+    bases = (meas_basis, phase_basis)
     if method == "analytic":
-        for basis in (meas_basis, phase_basis):
-            y11_lower[basis] = analytic_y11_lower(grids[basis], table,
-                                                  shift_sigmas)
+        y11_lower = {basis: analytic_y11_lower(grids[basis], table,
+                                               shift_sigmas)
+                     for basis in bases}
         e11_upper = analytic_e11_upper(grids[phase_basis], table,
                                        y11_lower[phase_basis], shift_sigmas)
     else:
-        z11_upper = None
-        for basis in (meas_basis, phase_basis):
-            y_low, z_up = lp_bounds(grids[basis], table, shift_sigmas)
-            y11_lower[basis] = y_low
-            if basis == phase_basis:
-                z11_upper = z_up
+        # Three solves: both bases' Y_11 minima, the phase basis' Z_11
+        # maximum.
+        systems = {basis: _lp_system(grids[basis], table, shift_sigmas)
+                   for basis in bases}
+        y11_lower = {basis: _lp_extreme(systems[basis], _Y11, maximize=False)
+                     for basis in bases}
         phase_y11 = y11_lower[phase_basis]
+        z11_upper = _lp_extreme(systems[phase_basis], _LP_YIELDS + _Y11,
+                                maximize=True)
         e11_upper = 1.0 if phase_y11 <= 0.0 else min(z11_upper / phase_y11, 1.0)
     return YieldBounds(y11_lower=y11_lower, e11_upper=e11_upper,
                        meas_basis=meas_basis, phase_basis=phase_basis,

@@ -238,8 +238,9 @@ def routing_matrix(classes: DecisionClasses, meas_basis: str) -> np.ndarray:
 
 
 # A float64 sum of nonnegative integers is exact, in any order, while the
-# exact total stays below 2**53; a window holds far fewer slots.
-_EXACT_FLOAT_SUM = 2 ** 53
+# exact total stays below 2**53; SessionConfig refuses windows that
+# would hold that many slots.
+EXACT_FLOAT_SUM = 2 ** 53
 
 
 class WindowRoutes(NamedTuple):
@@ -282,7 +283,7 @@ def route_window(classes: DecisionClasses, meas_basis: str,
     """
     total = int(outcome_counts.sum())
     # Every column sums a subset of the window's counts.
-    if total >= _EXACT_FLOAT_SUM:
+    if total >= EXACT_FLOAT_SUM:
         raise EngineError("window counts too large to route exactly")
     sums = (outcome_counts.reshape(-1).astype(np.float64)
             @ routing_matrix(classes, meas_basis)).astype(np.int64)

@@ -110,6 +110,13 @@ class SessionConfig:
             raise SessionError("schedule must be a BasisSchedule instance")
         if not isinstance(self.controller, ControllerConfig):
             raise SessionError("controller must be a ControllerConfig instance")
+        longest = min(self.schedule.period, self.duration_s)
+        if self.rep_rate_hz * longest >= engine.EXACT_FLOAT_SUM:
+            raise SessionError(
+                f"rep_rate_hz = {self.rep_rate_hz} over windows of "
+                f"{longest} s (schedule period {self.schedule.period} s) "
+                f"gives at least 2**53 slots per window, too many to count "
+                f"exactly")
 
     def windows(self) -> list:
         """(t_start, dt, meas_basis) for every window covering the duration."""

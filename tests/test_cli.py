@@ -130,11 +130,17 @@ def test_analyze_tallies_matches_the_emitted_summary(tmp_path, small_config,
                  "--tallies-x", str(run / "tallies_x.csv")]) == EXIT_OK
     analysis = capsys.readouterr().out
     summary = (run / "summary.txt").read_text(encoding="utf-8")
+    keys = ("y11_lower", "e11_upper", "key_rate_bits_per_pulse")
+
+    def half_lines(text, half):
+        section = text.split(f"[half_{half}]")[1].split("[")[0]
+        return [line for line in section.splitlines()
+                if line.split(" = ")[0] in keys]
+
     for half in ("z", "x"):
-        wanted = summary.split(f"[half_{half}]")[1].split("[")[0]
-        wanted_rate = [line for line in wanted.splitlines()
-                       if line.startswith("key_rate")][0]
-        assert wanted_rate in analysis
+        wanted = half_lines(summary, half)
+        assert len(wanted) == len(keys)
+        assert half_lines(analysis, half) == wanted
 
 
 def test_analyze_gain_tables_accepts_the_bundled_dataset(capsys):
@@ -201,9 +207,32 @@ _TALLIES = "basis,intensity_A,intensity_B,sent,coincidences,errors\n" \
      "non-finite"),
     ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,inf,0.004"),
      "non-finite"),
+    ("gains", _published_gains_with("Z,mu,nu,1.5,0.13e-6,0.060,0.004"),
+     "gain and qber must lie in [0, 1]"),
+    ("gains", _published_gains_with("Z,mu,nu,-8.06e-6,0.13e-6,0.060,0.004"),
+     "gain and qber must lie in [0, 1]"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,1.7,0.004"),
+     "gain and qber must lie in [0, 1]"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,-0.13e-6,0.060,0.004"),
+     "uncertainties must be nonnegative"),
+    ("gains", _published_gains_with("Z,mu,nu,8.06e-6,0.13e-6,0.060,-0.004"),
+     "uncertainties must be nonnegative"),
+    ("tallies", _TALLIES.replace("Z,mu,mu,100,10,1\n",
+                                 "Z,mu,mu,100,10,999\n"),
+     "errors <= coincidences <= sent"),
+    ("tallies", _TALLIES.replace("Z,mu,mu,100,10,1\n",
+                                 "Z,mu,mu,100,101,1\n"),
+     "errors <= coincidences <= sent"),
+    ("tallies", _TALLIES.replace("Z,mu,mu,100,10,1\n",
+                                 f"Z,mu,mu,{2 ** 63},10,1\n"),
+     "out of int64 range"),
 ], ids=["tally-header", "tally-missing-cell", "tally-duplicated-cell",
         "gain-missing-cell", "gain-duplicated-cell", "gain-basis", "gain-intensity", "gain-short-row",
-        "gain-long-row", "gain-non-numeric", "gain-nan", "gain-inf"])
+        "gain-long-row", "gain-non-numeric", "gain-nan", "gain-inf",
+        "gain-above-one", "gain-negative", "gain-qber-above-one",
+        "gain-negative-sigma", "gain-negative-qber-sigma",
+        "tally-errors-above-coincidences",
+        "tally-coincidences-above-sent", "tally-sent-out-of-range"])
 def test_analyze_malformed_input_exits_with_input_code(tmp_path, capsys,
                                                        kind, text, match):
     bad = tmp_path / "bad.csv"
@@ -306,6 +335,19 @@ def test_simulate_bad_config_exits_with_config_code(tmp_path, capsys):
     bad.write_text("[session]\nmode = smoke-signals\n", encoding="utf-8")
     assert main(["simulate", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_simulate_window_too_large_to_count_exits_before_writing(tmp_path,
+                                                                 capsys):
+    big = tmp_path / "big.ini"
+    big.write_text("[session]\nrep_rate_hz = 1e15\nduration_s = 15\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(big),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{big}:" in err and "2**53" in err
+    assert not out.exists()
 
 
 def test_simulate_unwritable_out_exits_with_output_code(capsys):

@@ -244,6 +244,31 @@ def test_gain_grid_binomial_uncertainty():
         math.sqrt(eq * (1 - eq) / 1_000_000), rel=1e-12)
 
 
+def test_gain_grid_equals_the_per_cell_formula():
+    rng = np.random.default_rng(31)
+    sent = rng.integers(0, 10 ** 12, size=TALLY_SHAPE[:3])
+    sent[1, 2, 0] = 0
+    coincidences = rng.integers(0, sent + 1)
+    errors = rng.integers(0, coincidences + 1)
+    tallies = TallySet()
+    tallies.add(np.stack([sent, coincidences, errors], axis=-1))
+    for basis in ("Z", "X"):
+        grid = tallies.gain_grid(basis)
+        for i, ia in enumerate(("mu", "nu", "omega")):
+            for j, ib in enumerate(("mu", "nu", "omega")):
+                cell = tallies.cell(basis, ia, ib)
+                expected = [0.0] * 4
+                if cell.sent:
+                    q = cell.coincidences / cell.sent
+                    eq = cell.errors / cell.sent
+                    expected = [q, math.sqrt(max(q * (1 - q), 1e-30)
+                                             / cell.sent),
+                                eq, math.sqrt(max(eq * (1 - eq), 1e-30)
+                                              / cell.sent)]
+                assert [grid.q[i, j], grid.q_sigma[i, j], grid.eq[i, j],
+                        grid.eq_sigma[i, j]] == expected
+
+
 def test_gain_grid_validation():
     zero = np.zeros((3, 3))
     with pytest.raises(DecoyError):
@@ -252,6 +277,12 @@ def test_gain_grid_validation():
         GainGrid(q=zero - 1e-3, q_sigma=zero, eq=zero, eq_sigma=zero)
     with pytest.raises(DecoyError):
         GainGrid(q=zero, q_sigma=zero, eq=zero + 1e-3, eq_sigma=zero)
+    with pytest.raises(DecoyError, match=r"gains must lie in \[0, 1\]"):
+        GainGrid(q=zero + 1.5, q_sigma=zero, eq=zero, eq_sigma=zero)
+    for name in ("q_sigma", "eq_sigma"):
+        with pytest.raises(DecoyError, match="uncertainties"):
+            GainGrid(**{"q": zero, "q_sigma": zero, "eq": zero,
+                        "eq_sigma": zero, name: zero - 1e-9})
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +455,17 @@ def test_bound_driver_uses_conjugate_basis_for_phase_error():
 
 
 def test_bound_driver_lp_mode_matches_lp_bounds():
-    yields, errors = _synthetic_instance(np.random.default_rng(23))
-    grid = forward_gains(yields, errors, TABLE)
-    grids = {"Z": grid, "X": grid}
+    rng = np.random.default_rng(23)
+    grids = {basis: forward_gains(*_synthetic_instance(rng), TABLE)
+             for basis in ("Z", "X")}
     bounds = bound_y11_e11(grids, TABLE, "Z", method="lp", shift_sigmas=0.0)
-    y_lp, z_lp = lp_bounds(grid, TABLE, shift_sigmas=0.0)
-    assert bounds.y11_lower["Z"] == pytest.approx(y_lp, rel=1e-9)
-    assert bounds.e11_upper == pytest.approx(min(z_lp / y_lp, 1.0), rel=1e-9)
+    per_basis = {basis: lp_bounds(grid, TABLE, shift_sigmas=0.0)
+                 for basis, grid in grids.items()}
+    assert bounds.y11_lower == {basis: y for basis, (y, _) in
+                                per_basis.items()}
+    y_phase, z_phase = per_basis["X"]
+    assert y_phase > 0.0
+    assert bounds.e11_upper == min(z_phase / y_phase, 1.0)
 
 
 def test_bound_driver_validation():

@@ -61,10 +61,20 @@ def small_config(**overrides) -> SessionConfig:
     (dict(detector=None), "DetectorParams"),
     (dict(schedule=3), "BasisSchedule"),
     (dict(controller="x"), "ControllerConfig"),
+    (dict(rep_rate_hz=1e15, duration_s=15.0),
+     r"rep_rate_hz = 1000000000000000\.0 .*schedule period 15\.0 s"),
+    (dict(rep_rate_hz=2.0 ** 53, duration_s=2.0,
+          schedule=BasisSchedule(period=1.0)), r"2\*\*53"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(SessionError, match=match):
         SessionConfig(**kwargs)
+
+
+def test_config_accepts_windows_just_below_the_exact_count_limit():
+    config = SessionConfig(rep_rate_hz=2.0 ** 53 - 1, duration_s=2.0,
+                           schedule=BasisSchedule(period=1.0))
+    assert config.slots_in(config.schedule.period) == 2 ** 53 - 1
 
 
 def test_windows_cover_duration_with_partial_tail():

@@ -38,9 +38,10 @@ from .polarization import (DEFAULT_SQUEEZER_AXES, RETARDANCE_LIMIT,
                            DriftProcess, SqueezerBank, misalignment_angles,
                            random_misalignment, squeezer_unitary)
 from .session import (SessionConfig, SessionError, SessionFailure,
-                      SessionReport, USERS, WindowTrace, analyze_tallies,
-                      empty_decisions, recycle_singles, sample_window_slots,
-                      sift, slot_decisions, summarize_sifted, user_reveals)
+                      SessionReport, USERS, WindowArms, WindowTrace,
+                      analyze_tallies, empty_decisions, recycle_singles,
+                      sample_window_slots, sift, slot_decisions,
+                      summarize_sifted, user_reveals)
 from .decoy import TallySet
 from .wire import (CompensatorState, FrameDecoder, MisalignmentAnnouncement,
                    SessionEnd, WireError, encode_message)
@@ -50,9 +51,11 @@ SOCKET_TIMEOUT_S = 60.0
 # Slots the per-slot backend samples per call.  Its memory grows with
 # this, not with the window.  On 1.2e7 slots (2e5 Hz for 60 s, median of
 # five runs, each in a fresh process, on a 2-core Intel Xeon, Python
-# 3.11, numpy 2.4) 2^16 took 0.81 s at 45 MB peak RSS, 2^18 0.53 s at
-# 51 MB and 2^20 0.48 s at 81 MB: larger chunks hand fewer chunks to the
-# helper thread, at the cost of memory.
+# 3.11, numpy 2.4, hash blocks of 2^16 slots) 2^16 took 0.49 s at 46 MB
+# peak RSS, 2^17 0.41 s at 48 MB, 2^18 0.38 s at 53 MB, 2^19 0.42 s at
+# 63 MB and 2^20 0.46 s at 82 MB: up to 2^18, larger chunks hand fewer
+# chunks to the helper thread; beyond it, sessions slow down again and
+# memory grows.
 SLOT_CHUNK = 1 << 18
 
 # Seed-stream tags keep the independent random streams decoupled while
@@ -278,7 +281,9 @@ class CharlieNode:
         thread writes the next chunk's decisions into the spare one of
         two buffers while this thread samples the current chunk, so every
         rng draw stays on this thread in slot order.  The pool lives for
-        one window and is shut down when it ends or fails.  Each chunk's
+        one window and is shut down when it ends or fails.  The window's
+        arm coefficients and thinning bounds are built once, and every
+        chunk draws its uniforms into one buffer.  Each chunk's
         reveals pass the privacy check on their own, since chunks hold
         disjoint slots; the slot-level recycling and sifting sums are
         checked against the aggregate accounting once per window.
@@ -291,8 +296,12 @@ class CharlieNode:
         n_sifted = 0
         chunks = [(start, min(SLOT_CHUNK, n_slots - start))
                   for start in range(0, n_slots, SLOT_CHUNK)]
-        # Two buffers of the first chunk's size, which no chunk exceeds.
-        buffers = [empty_decisions(chunks[0][1]) for _ in chunks[:2]]
+        # Buffers of the first chunk's size, which no chunk exceeds.
+        largest = min(SLOT_CHUNK, n_slots)
+        buffers = [empty_decisions(largest) for _ in chunks[:2]]
+        uniforms = np.empty((largest, 2))
+        arms = WindowArms.build(self.config, self.classes, meas_basis,
+                                channels["alice"], channels["bob"])
         with ThreadPoolExecutor(max_workers=1) as pool:
             def decide(chunk: int):
                 return pool.submit(slot_decisions, self.config, index,
@@ -304,8 +313,8 @@ class CharlieNode:
                 if chunk + 1 < len(chunks):
                     pending = decide(chunk + 1)
                 slots, outcomes, pairs, counts = sample_window_slots(
-                    self.config, size, meas_basis, channels["alice"],
-                    channels["bob"], self.rng, buffers[chunk % 2])
+                    self.config, size, arms, self.rng, buffers[chunk % 2],
+                    uniforms)
                 outcome_counts += counts
                 reveals, bit_reveals, bits = user_reveals(slots, outcomes,
                                                           pairs)

@@ -19,6 +19,7 @@ and pins down the privacy semantics at slot granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -36,6 +37,11 @@ from .transmitter import (_HASH_BLOCK, BASIS_LABELS, INTENSITY_LABELS,
 MODES = ("in-process", "networked")
 SAMPLING_BACKENDS = ("aggregate", "per-slot")
 USERS = ("alice", "bob")
+
+# Most windows one session may hold: a little over 17 days at the 15 s
+# reference period.  The report keeps every window's trace, about 2.5 kB
+# each, so this bounds them near 250 MB.
+MAX_WINDOWS = 100_000
 
 
 class SessionError(ValueError):
@@ -110,6 +116,15 @@ class SessionConfig:
             raise SessionError("schedule must be a BasisSchedule instance")
         if not isinstance(self.controller, ControllerConfig):
             raise SessionError("controller must be a ControllerConfig instance")
+        # Counted on the schedule itself, whose accumulated start times
+        # can add a last sliver of a window, and never past the cap, so
+        # an endless duration is refused as quickly as a long one.
+        if sum(1 for _ in islice(self._schedule(),
+                                 MAX_WINDOWS + 1)) > MAX_WINDOWS:
+            raise SessionError(
+                f"duration_s = {self.duration_s} over windows of "
+                f"{self.schedule.period} s gives more than MAX_WINDOWS = "
+                f"{MAX_WINDOWS} windows")
         longest = min(self.schedule.period, self.duration_s)
         if self.rep_rate_hz * longest >= engine.EXACT_FLOAT_SUM:
             raise SessionError(
@@ -120,15 +135,16 @@ class SessionConfig:
 
     def windows(self) -> list:
         """(t_start, dt, meas_basis) for every window covering the duration."""
-        out = []
+        return list(self._schedule())
+
+    def _schedule(self):
         index = 0
         t = 0.0
         while t < self.duration_s - 1e-9:
             dt = min(self.schedule.period, self.duration_s - t)
-            out.append((t, dt, self.schedule.window_basis(index)))
+            yield t, dt, self.schedule.window_basis(index)
             t += dt
             index += 1
-        return out
 
     def slots_in(self, dt: float) -> int:
         return int(round(self.rep_rate_hz * dt))
@@ -338,15 +354,58 @@ def slot_decisions(config: SessionConfig, window_index: int, start: int,
         pair_counts += np.bincount(pair, minlength=144)
 
 
-def sample_window_slots(config: SessionConfig, n_slots: int, meas_basis: str,
-                        channel_a: np.ndarray, channel_b: np.ndarray,
-                        rng: np.random.Generator, decisions: tuple):
-    """Sample the first n_slots slots of `decisions` under a window's channels.
+@dataclass(frozen=True)
+class WindowArms:
+    """What the per-slot sampler needs of one window's channels.
+
+    c0, re_c1 and im_c1 are each decision pair's arm phase coefficients
+    as (144, 2) arrays: the arm intensity at phase difference phi is
+    c0 + Re(c1) cos phi - Im(c1) sin phi, the integrand that the window
+    kernel averages in closed form.  p_max bounds each pair's click
+    probability per arm over all phases.  eta and keep are the
+    detector's efficiency and no-dark-count probability.
+    """
+
+    c0: np.ndarray
+    re_c1: np.ndarray
+    im_c1: np.ndarray
+    p_max: np.ndarray
+    eta: float
+    keep: float
+
+    @classmethod
+    def build(cls, config: SessionConfig, classes: engine.DecisionClasses,
+              meas_basis: str, channel_a: np.ndarray,
+              channel_b: np.ndarray) -> "WindowArms":
+        rotated_a = classes.states @ np.asarray(channel_a, dtype=complex).T
+        rotated_b = classes.states @ np.asarray(channel_b, dtype=complex).T
+        c0, c1 = phase_coefficients(rotated_a, classes.mean_photons,
+                                    rotated_b, classes.mean_photons,
+                                    meas_basis)
+        c0, re_c1, im_c1 = (x.reshape(144, 2)
+                            for x in (c0, c1.real, c1.imag))
+        eta, keep = config.detector.efficiency, 1.0 - config.detector.dark_prob
+        # Exact thinning: |a cos phi| <= |a| survives rounding, so no
+        # phase lifts an arm's click probability above p_max (widened
+        # against rounding in exp); a slot whose two uniforms clear their
+        # arms' p_max cannot click and needs no phase.
+        brightest = c0 + np.abs(re_c1) + np.abs(im_c1)
+        p_max = (1.0 - keep * np.exp(-eta * brightest)) * (1.0 + 1e-9)
+        return cls(c0=c0, re_c1=re_c1, im_c1=im_c1, p_max=p_max, eta=eta,
+                   keep=keep)
+
+
+def sample_window_slots(config: SessionConfig, n_slots: int, arms: WindowArms,
+                        rng: np.random.Generator, decisions: tuple,
+                        uniforms: np.ndarray):
+    """Sample the first n_slots slots of `decisions` under a window's arms.
 
     decisions is (slots, pairs, pair_counts) as slot_decisions writes
-    them for exactly these n_slots slots.  Returns
-    (slots, outcomes, pairs, outcome_counts).  slots and outcomes are
-    the measurement node's announcements: the clicked slots' absolute
+    them for exactly these n_slots slots; uniforms is a float64 buffer
+    of at least (n_slots, 2) that receives the slots' click uniforms.
+    Returns (slots, outcomes, pairs, outcome_counts), none of which
+    shares memory with either buffer.  slots and outcomes are the
+    measurement node's announcements: the clicked slots' absolute
     indices (uint64, ascending) and OUTCOME_CLASSES indices.  pairs
     holds each announced slot's decision-pair index, from which
     user_reveals reads the reveals.  outcome_counts counts all n_slots
@@ -358,32 +417,20 @@ def sample_window_slots(config: SessionConfig, n_slots: int, meas_basis: str,
     """
     slots, pair, pair_counts = decisions
     slots, pair = slots[:n_slots], pair[:n_slots]
-    classes = engine.DecisionClasses.build(config.table)
-    rotated_a = classes.states @ np.asarray(channel_a, dtype=complex).T
-    rotated_b = classes.states @ np.asarray(channel_b, dtype=complex).T
-    c0, c1 = phase_coefficients(rotated_a, classes.mean_photons,
-                                rotated_b, classes.mean_photons, meas_basis)
-    c0, re_c1, im_c1 = (x.reshape(144, 2) for x in (c0, c1.real, c1.imag))
-    eta, keep = config.detector.efficiency, 1.0 - config.detector.dark_prob
-    # Exact thinning: |a cos phi| <= |a| survives rounding, so no phase
-    # lifts an arm's click probability above p_max (widened against
-    # rounding in exp); a slot whose two uniforms clear their arms' p_max
-    # cannot click and needs no phase.
-    brightest = c0 + np.abs(re_c1) + np.abs(im_c1)
-    p_max = (1.0 - keep * np.exp(-eta * brightest)) * (1.0 + 1e-9)
-    uniforms = rng.random((n_slots, 2))
-    candidate = _thinning_candidates(uniforms, pair, p_max)
+    # The same stream as rng.random((n_slots, 2)), written in place.
+    uniforms = rng.random(out=uniforms[:n_slots])
+    candidate = _thinning_candidates(uniforms, pair, arms.p_max)
     cand_slots, cand_pair = slots[candidate], pair[candidate]
     phases = draw_phases(config.seed * 2 + 0, cand_slots) \
         - draw_phases(config.seed * 2 + 1, cand_slots)
-    # Per arm, the integrand that the window kernel averages in closed
-    # form: I = c0 + Re(c1 e^{i phi}) of the slot's input pair.  take
-    # gathers rows several times faster than fancy indexing.
-    c0, re_c1, im_c1 = (x.take(cand_pair, axis=0) for x in (c0, re_c1, im_c1))
+    # Per arm, the candidate's intensity at its phase.  take gathers
+    # rows several times faster than fancy indexing.
+    c0, re_c1, im_c1 = (x.take(cand_pair, axis=0)
+                        for x in (arms.c0, arms.re_c1, arms.im_c1))
     intensity = c0 + re_c1 * np.cos(phases)[:, None] \
         - im_c1 * np.sin(phases)[:, None]
     clicks = uniforms.take(candidate, axis=0) \
-        < 1.0 - keep * np.exp(-eta * intensity)
+        < 1.0 - arms.keep * np.exp(-arms.eta * intensity)
     # OUTCOME_CLASSES order: both arms, first only, second only, none.
     outcomes = 3 - 2 * clicks[:, 0] - clicks[:, 1]
     counts = np.bincount(4 * cand_pair.astype(np.intp) + outcomes,

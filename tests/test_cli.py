@@ -350,6 +350,19 @@ def test_simulate_window_too_large_to_count_exits_before_writing(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duration", ["1e300", "inf"])
+def test_simulate_too_many_windows_exits_before_writing(tmp_path, capsys,
+                                                        duration):
+    long = tmp_path / "long.ini"
+    long.write_text(f"[session]\nduration_s = {duration}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(long),
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{long}:" in err and "MAX_WINDOWS" in err
+    assert not out.exists()
+
+
 def test_simulate_unwritable_out_exits_with_output_code(capsys):
     assert main(["simulate", "--duration", "0",
                  "--out", "/proc/no/such/place"]) == EXIT_OUTPUT

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, unitary_group
 
-from mdiqkd_polcomp import cli, engine, nodes, transmitter
+from mdiqkd_polcomp import cli, engine, nodes, session, transmitter
 from mdiqkd_polcomp.bsm import (OUTCOME_CLASSES, BasisSchedule,
                                 DetectorParams, phase_coefficients)
 from mdiqkd_polcomp.compensation import ControllerConfig
@@ -21,11 +21,12 @@ from mdiqkd_polcomp.nodes import CharlieNode, UserNode, run_in_process
 from mdiqkd_polcomp.polarization import (RETARDANCE_LIMIT,
                                          rotation_about_stokes_axis)
 from mdiqkd_polcomp.reporting import misalignment_digest, misalignment_rows
-from mdiqkd_polcomp.session import (USERS, SessionConfig, SessionError,
-                                    SessionFailure, _thinning_candidates,
-                                    empty_decisions, recycle_singles,
-                                    run_session, sample_window_slots, sift,
-                                    slot_decisions, user_reveals)
+from mdiqkd_polcomp.session import (MAX_WINDOWS, USERS, SessionConfig,
+                                    SessionError, SessionFailure, WindowArms,
+                                    _thinning_candidates, empty_decisions,
+                                    recycle_singles, run_session,
+                                    sample_window_slots, sift, slot_decisions,
+                                    user_reveals)
 from mdiqkd_polcomp.transmitter import (_DECISION_STREAM, BASIS_LABELS,
                                         INTENSITY_LABELS, IntensityTable,
                                         _slot_words, draw_phases)
@@ -65,6 +66,8 @@ def small_config(**overrides) -> SessionConfig:
      r"rep_rate_hz = 1000000000000000\.0 .*schedule period 15\.0 s"),
     (dict(rep_rate_hz=2.0 ** 53, duration_s=2.0,
           schedule=BasisSchedule(period=1.0)), r"2\*\*53"),
+    (dict(duration_s=1e300), r"duration_s = 1e\+300 .*MAX_WINDOWS"),
+    (dict(duration_s=math.inf), r"duration_s = inf .*MAX_WINDOWS"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(SessionError, match=match):
@@ -75,6 +78,26 @@ def test_config_accepts_windows_just_below_the_exact_count_limit():
     config = SessionConfig(rep_rate_hz=2.0 ** 53 - 1, duration_s=2.0,
                            schedule=BasisSchedule(period=1.0))
     assert config.slots_in(config.schedule.period) == 2 ** 53 - 1
+
+
+def test_config_caps_the_window_count():
+    period = 15.0
+    at_cap = SessionConfig(duration_s=MAX_WINDOWS * period)
+    assert len(at_cap.windows()) == MAX_WINDOWS
+    for duration_s in ((MAX_WINDOWS + 1) * period, MAX_WINDOWS * period + 1.0):
+        with pytest.raises(SessionError, match="MAX_WINDOWS = 100000"):
+            SessionConfig(duration_s=duration_s)
+    # The count follows the period, not the duration alone, and is the
+    # schedule's own: at 0.3 s the accumulated start times fall short of
+    # MAX_WINDOWS * 0.3 and leave a last sliver of a window.
+    with pytest.raises(SessionError, match="MAX_WINDOWS"):
+        SessionConfig(duration_s=MAX_WINDOWS * period,
+                      schedule=BasisSchedule(period=period / 2))
+    sliver = dict(rep_rate_hz=1e3, schedule=BasisSchedule(period=0.3))
+    assert len(SessionConfig(duration_s=(MAX_WINDOWS - 1) * 0.3,
+                             **sliver).windows()) == MAX_WINDOWS
+    with pytest.raises(SessionError, match="MAX_WINDOWS"):
+        SessionConfig(duration_s=MAX_WINDOWS * 0.3, **sliver)
 
 
 def test_windows_cover_duration_with_partial_tail():
@@ -417,8 +440,10 @@ def _sample(config, window_index, n_slots, meas_basis, channel_a, channel_b,
     """sample_window_slots on slot_decisions of slots [start, start + n)."""
     decisions = empty_decisions(n_slots)
     slot_decisions(config, window_index, start, n_slots, decisions)
-    return sample_window_slots(config, n_slots, meas_basis, channel_a,
-                               channel_b, rng, decisions)
+    arms = WindowArms.build(config, engine.DecisionClasses.build(config.table),
+                            meas_basis, channel_a, channel_b)
+    return sample_window_slots(config, n_slots, arms, rng, decisions,
+                               np.empty((n_slots, 2)))
 
 
 def test_sample_window_slots_calls_tile_a_window():
@@ -622,6 +647,58 @@ def test_slot_decisions_write_the_transmitter_classes_in_place():
     assert np.array_equal(decisions[0][:n_slots], slots)
     assert np.array_equal(decisions[1][:n_slots], pairs)
     assert np.array_equal(decisions[2], np.bincount(pairs, minlength=144))
+
+
+def test_slot_decisions_do_not_depend_on_the_hash_block(monkeypatch):
+    # Power-of-two blocks and one that is not, each leaving a short last
+    # block; the buffers start out full of values no slot writes.
+    config = SessionConfig(seed=12)
+    n_slots, start = 3 * transmitter._HASH_BLOCK + 7, 777
+    expected = None
+    for block in (transmitter._HASH_BLOCK, 1 << 10, 5000, 1 << 14):
+        monkeypatch.setattr(transmitter, "_HASH_BLOCK", block)
+        monkeypatch.setattr(session, "_HASH_BLOCK", block)
+        decisions = empty_decisions(n_slots)
+        for column, fill in zip(decisions, (2 ** 64 - 1, 255, -1)):
+            column.fill(fill)
+        slot_decisions(config, 2, start, n_slots, decisions)
+        if expected is None:
+            expected = decisions
+        for column, reference in zip(decisions, expected):
+            assert np.array_equal(column, reference), block
+    assert np.array_equal(expected[0], np.arange(
+        start, start + n_slots, dtype=np.uint64) + np.uint64(2 << 40))
+    assert (expected[1] < 144).all() and expected[2].sum() == n_slots
+
+
+def test_reused_buffers_leave_earlier_chunks_intact():
+    # Chunk k's columns must survive chunk k + 1 being sampled into the
+    # same decision and uniform buffers.
+    config = SessionConfig(seed=5)
+    arms = WindowArms.build(config, engine.DecisionClasses.build(config.table),
+                            "Z", CHANNEL_A, CHANNEL_B)
+    rng = np.random.default_rng(5)
+    n_slots = 20_000
+    decisions, uniforms = empty_decisions(n_slots), np.empty((n_slots, 2))
+    slot_decisions(config, 0, 0, n_slots, decisions)
+    first = sample_window_slots(config, n_slots, arms, rng, decisions,
+                                uniforms)
+    kept = [column.copy() for column in first]
+    slot_decisions(config, 0, n_slots, n_slots, decisions)
+    second = sample_window_slots(config, n_slots, arms, rng, decisions,
+                                 uniforms)
+    for column, copy in zip(first, kept):
+        assert np.array_equal(column, copy)
+        for buffer in (*decisions, uniforms):
+            assert not np.shares_memory(column, buffer)
+    assert len(kept[0]) and not np.array_equal(second[3], kept[3])
+
+
+def test_consecutive_per_slot_sessions_give_equal_reports():
+    config = small_config(duration_s=30.0, rep_rate_hz=2e4,
+                          sampling="per-slot")
+    first = canonical(run_session(config))
+    assert pickle.dumps(canonical(run_session(config))) == pickle.dumps(first)
 
 
 @pytest.mark.parametrize("failing_window", [None, 1])

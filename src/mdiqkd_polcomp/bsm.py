@@ -28,8 +28,10 @@ near-vacuum both-click cells (about 1e-10) keep their relative precision.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,37 +97,103 @@ class BasisSchedule:
         return "Z" if index % 2 == 0 else "X"
 
 
-def arm_amplitudes(states: np.ndarray, mus: np.ndarray,
-                   basis: str) -> np.ndarray:
-    """Arm amplitudes <m|psi> sqrt(mu) for a stack of input states.
+@lru_cache(maxsize=16)
+def _arm_kets(bases: tuple) -> np.ndarray:
+    """The transposed arm bras of each window's basis, shape (W, 2, 2).
 
-    Row k holds the two arm amplitudes of states[k] at mean photon
-    number mus[k], before the beam splitter's 1/sqrt(2).
+    Cached per basis sequence and therefore read-only.
     """
-    return np.asarray(states, dtype=complex) @ ARM_PROJECTORS[basis].T \
-        * np.sqrt(np.asarray(mus, dtype=float))[:, None]
+    kets = np.stack([ARM_PROJECTORS[basis].T for basis in bases])
+    kets.flags.writeable = False
+    return kets
+
+
+@lru_cache(maxsize=16)
+def _root_photons(mus_a: bytes, mus_b: bytes) -> np.ndarray:
+    """sqrt(mu) of both senders' float64 mean photon numbers, as a column.
+
+    The arguments are the arrays' bytes; the result is cached per value
+    and therefore read-only.
+    """
+    roots = np.sqrt(np.frombuffer(mus_a + mus_b))[:, None]
+    roots.flags.writeable = False
+    return roots
+
+
+def _window_stack(states_a, states_b, basis) -> tuple:
+    """(states_a, states_b, bases, stacked) with a leading window axis.
+
+    A single window passes (n, 2) and (m, 2) states and one basis name;
+    a stack of W windows passes (W, n, 2) and (W, m, 2) states and W
+    basis names.
+    """
+    stacked = not isinstance(basis, str)
+    states_a, states_b = (np.asarray(states, dtype=complex)
+                          for states in (states_a, states_b))
+    if stacked:
+        return states_a, states_b, tuple(basis), True
+    return states_a[None], states_b[None], (basis,), False
+
+
+def _phase_buffers(states_a, mus_a, states_b, mus_b, bases) -> tuple:
+    """Arm-major phase coefficients of a window stack.
+
+    Returns c0 with shape (2, W, n, m) and c1 with shape (3, W, n, m):
+    c1[0] and c1[1] are the arms' coefficients, c1[2] their sum.  Both
+    senders' amplitudes <m|psi> sqrt(mu) come from one product.
+    """
+    n_a = states_a.shape[-2]
+    amps = np.concatenate([states_a, states_b], axis=-2) @ _arm_kets(bases)
+    roots = _root_photons(*(np.asarray(mus, dtype=float).tobytes()
+                            for mus in (mus_a, mus_b)))
+    np.multiply(amps, roots, out=amps)
+    # Arm-major views: (2, W, n + m).
+    power = np.abs(amps).transpose(2, 0, 1)
+    np.square(power, out=power)
+    amps = amps.transpose(2, 0, 1)
+    c0 = np.add(power[..., :n_a, None], power[..., None, n_a:])
+    np.divide(c0, 2.0, out=c0)
+    c1 = np.empty((3,) + c0.shape[1:], dtype=complex)
+    np.multiply(amps[..., :n_a, None].conj(), amps[..., None, n_a:],
+                out=c1[:2])
+    np.add(c1[0], c1[1], out=c1[2])
+    return c0, c1
 
 
 def phase_coefficients(states_a: np.ndarray, mus_a: np.ndarray,
                        states_b: np.ndarray, mus_b: np.ndarray,
-                       basis: str):
+                       basis):
     """Arm-intensity phase coefficients for every (a, b) input combination.
 
     For input combination (i, j) and arm m the monitored intensity is
     c0[i, j, m] + Re(c1[i, j, m] e^{i phi}).  states_* are stacks of
-    Jones vectors, mus_* the matching mean photon numbers.
+    Jones vectors, mus_* the matching mean photon numbers.  With a
+    leading window axis on states_* and one basis per window, c0 and c1
+    get the same leading axis.
     """
-    amps_a = arm_amplitudes(states_a, mus_a, basis)
-    amps_b = arm_amplitudes(states_b, mus_b, basis)
-    c0 = (np.abs(amps_a[:, None, :]) ** 2 + np.abs(amps_b[None, :, :]) ** 2) / 2.0
-    c1 = amps_a.conj()[:, None, :] * amps_b[None, :, :]
-    return c0, c1
+    states_a, states_b, bases, stacked = _window_stack(states_a, states_b,
+                                                       basis)
+    c0, c1 = _phase_buffers(states_a, mus_a, states_b, mus_b, bases)
+    # Arm-last and contiguous, so that a row of either holds its pair's
+    # two arms side by side.
+    c0, c1 = (np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+              for x in (c0, c1[:2]))
+    return (c0, c1) if stacked else (c0[0], c1[0])
 
 
-# Terms of the I0 series kept below _I0_SERIES_LIMIT; the first one
-# dropped is below 1e-17 relative there.
+# The I0 series is summed for arguments below _I0_SERIES_LIMIT, to at
+# most _I0_SERIES_TERMS terms; there the first term dropped from all
+# twelve is below 1e-17 relative.  A call keeps the fewest terms K whose
+# first dropped term, q_max^K / ((K + 1)!)^2 with q_max = (z_max / 2)^2,
+# is below _I0_SERIES_CUT: far enough below an ulp of the series' leading
+# 1 that the sum rounds as the full series does.  With eta |c1| <= 0.016,
+# as at the reference settings, that is five terms.
 _I0_SERIES_TERMS = 12
 _I0_SERIES_LIMIT = 2.0
+_I0_SERIES_CUT = 1e-22
+# K terms suffice while q_max < _I0_CUT_Q[K - 1].
+_I0_CUT_Q = tuple((_I0_SERIES_CUT * math.factorial(k + 1) ** 2) ** (1.0 / k)
+                  for k in range(1, _I0_SERIES_TERMS))
 
 
 def _log_i0(z: np.ndarray) -> np.ndarray:
@@ -136,51 +204,68 @@ def _log_i0(z: np.ndarray) -> np.ndarray:
     so there the series I0(z) - 1 = sum_k (z^2/4)^k / (k!)^2 is summed
     directly and passed to log1p.
     """
-    q = (z / 2.0) ** 2
-    series = np.ones_like(q)
-    for k in range(_I0_SERIES_TERMS, 1, -1):
-        # series = 1 + series * q / k^2, in place.
-        np.multiply(series, q, out=series)
+    z_max = float(z.max()) if z.size else 0.0
+    n_terms = bisect.bisect_right(_I0_CUT_Q, (z_max / 2.0) ** 2) + 1
+    q = np.divide(z, 2.0)
+    np.square(q, out=q)
+    # Horner from k = n_terms down to 2, series = 1 + series * q / k^2,
+    # kept multiplied by q: it starts at q (series = 1) and ends at
+    # I0(z) - 1.
+    series = q.copy()
+    for k in range(n_terms, 1, -1):
         np.divide(series, k ** 2, out=series)
         np.add(series, 1.0, out=series)
-    if (z < _I0_SERIES_LIMIT).all():
-        return np.log1p(q * series)
+        np.multiply(series, q, out=series)
+    if z_max < _I0_SERIES_LIMIT:
+        return np.log1p(series, out=series)
     # Only bright inputs get here, so scipy is imported only for them.
     from scipy.special import i0e
-    return np.where(z < _I0_SERIES_LIMIT, np.log1p(q * series),
+    return np.where(z < _I0_SERIES_LIMIT, np.log1p(series),
                     z + np.log(i0e(z)))
 
 
 def class_probability_grid(states_a: np.ndarray, mus_a: np.ndarray,
                            states_b: np.ndarray, mus_b: np.ndarray,
-                           basis: str, params: DetectorParams) -> np.ndarray:
+                           basis, params: DetectorParams) -> np.ndarray:
     """Phase-averaged outcome-class probabilities for all input pairs.
 
     Returns an array of shape (len(states_a), len(states_b), 4) ordered
-    as OUTCOME_CLASSES.  With q_m = exp(L_m) the probability that arm m
-    stays dark and q_0 q_1 exp(D) that both do, the classes are
+    as OUTCOME_CLASSES.  With a leading window axis on states_* and one
+    basis per window, the result gets the same leading axis; every
+    window's cells equal a call for that window alone, bit for bit.
+    With q_m = exp(L_m) the probability that arm m stays dark and
+    q_0 q_1 exp(D) that both do, the classes are
     (1 - q_0)(1 - q_1) + q_0 q_1 (exp(D) - 1), q_1 (1 - exp(L_0 + D)),
     q_0 (1 - exp(L_1 + D)) and q_0 q_1 exp(D); D, the arms' phase
     correlation, vanishes when either arm gets no interfering light.
     """
-    c0, c1 = phase_coefficients(states_a, mus_a, states_b, mus_b, basis)
+    states_a, states_b, bases, stacked = _window_stack(states_a, states_b,
+                                                       basis)
+    c0, c1 = _phase_buffers(states_a, mus_a, states_b, mus_b, bases)
     eta = params.efficiency
     # One series evaluation over both arms and their sum.
-    log_i0 = _log_i0(eta * np.abs(np.concatenate(
-        [c1, c1.sum(axis=-1, keepdims=True)], axis=-1)))
-    log_i0_arms = log_i0[..., :2]
-    log_quiet = math.log1p(-params.dark_prob) - eta * c0 + log_i0_arms
-    log_corr = log_i0[..., 2] - log_i0_arms.sum(axis=-1)
-    log_first, log_second = log_quiet[..., 0], log_quiet[..., 1]
-    quiet_first, quiet_second = np.exp(log_first), np.exp(log_second)
-    both_quiet = quiet_first * quiet_second
-    return np.stack([
-        np.expm1(log_first) * np.expm1(log_second)
-        + both_quiet * np.expm1(log_corr),
-        -quiet_second * np.expm1(log_first + log_corr),
-        -quiet_first * np.expm1(log_second + log_corr),
-        both_quiet * np.exp(log_corr),
-    ], axis=-1)
+    z = np.abs(c1)
+    np.multiply(z, eta, out=z)
+    log_i0 = _log_i0(z)
+    # logs[0], logs[1]: L_0, L_1; logs[2]: D; logs[3], logs[4]: L_m + D.
+    logs = np.empty((5,) + c0.shape[1:])
+    np.multiply(c0, eta, out=logs[:2])
+    np.subtract(math.log1p(-params.dark_prob), logs[:2], out=logs[:2])
+    np.add(logs[:2], log_i0[:2], out=logs[:2])
+    np.add(log_i0[0], log_i0[1], out=logs[2])
+    np.subtract(log_i0[2], logs[2], out=logs[2])
+    np.add(logs[:2], logs[2], out=logs[3:])
+    quiet = np.exp(logs[:3])
+    loud = np.expm1(logs)
+    grid = np.empty(c0.shape[1:] + (4,))
+    classes = grid.transpose(3, 0, 1, 2)
+    both_quiet = np.multiply(quiet[0], quiet[1])
+    np.multiply(loud[0], loud[1], out=classes[0])
+    np.add(classes[0], np.multiply(both_quiet, loud[2]), out=classes[0])
+    np.multiply(quiet[1::-1], loud[3:], out=classes[1:3])
+    np.negative(classes[1:3], out=classes[1:3])
+    np.multiply(both_quiet, quiet[2], out=classes[3])
+    return grid if stacked else grid[0]
 
 
 def _pair_states(pair_basis: str, channel_a, channel_b) -> tuple:

@@ -82,7 +82,8 @@ class MisalignmentEstimate:
         return sum(available) / len(available)
 
 
-def _pooled_angle(n_err: float, n_max: float) -> float | None:
+def pooled_angle(n_err: float, n_max: float) -> float | None:
+    """Angle of one basis' pooled counts; None without reference counts."""
     if n_max <= 0:
         return None
     ratio = min(max(n_err / n_max, 0.0), 1.0)
@@ -91,8 +92,8 @@ def _pooled_angle(n_err: float, n_max: float) -> float | None:
 
 def estimate_theta(window: EstimatorWindow) -> MisalignmentEstimate:
     """Pool counts per basis and convert the ratio to an angle."""
-    return MisalignmentEstimate(theta_z=_pooled_angle(*window.pooled("Z")),
-                                theta_x=_pooled_angle(*window.pooled("X")))
+    return MisalignmentEstimate(theta_z=pooled_angle(*window.pooled("Z")),
+                                theta_x=pooled_angle(*window.pooled("X")))
 
 
 @dataclass

@@ -98,11 +98,16 @@ class DecisionClasses:
 
 def window_class_probabilities(classes: DecisionClasses,
                                channel_a: np.ndarray, channel_b: np.ndarray,
-                               meas_basis: str,
+                               meas_basis,
                                params: DetectorParams) -> np.ndarray:
-    """Outcome-class probabilities (12, 12, 4) under frozen channels."""
-    states_a = classes.states @ np.asarray(channel_a, dtype=complex).T
-    states_b = classes.states @ np.asarray(channel_b, dtype=complex).T
+    """Outcome-class probabilities (12, 12, 4) under frozen channels.
+
+    With (W, 2, 2) channels and W measurement bases, one kernel call
+    gives a (W, 12, 12, 4) stack, window by window equal to single calls.
+    """
+    states_a, states_b = (
+        classes.states @ np.asarray(channel, dtype=complex).swapaxes(-1, -2)
+        for channel in (channel_a, channel_b))
     return class_probability_grid(states_a, classes.mean_photons,
                                   states_b, classes.mean_photons,
                                   meas_basis, params)

@@ -27,13 +27,14 @@ import socket
 import struct
 import sys
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
 from .compensation import (ControllerState, EstimatorWindow,
                            MisalignmentEstimate, ReferenceTracker,
-                           control_step, estimate_theta)
+                           control_step, pooled_angle)
 from .polarization import (DEFAULT_SQUEEZER_AXES, RETARDANCE_LIMIT,
                            DriftProcess, SqueezerBank, misalignment_angles,
                            random_misalignment, squeezer_unitary)
@@ -69,6 +70,20 @@ _STREAM_SAMPLER = 0xC0
 # Checked retardances as the key of a cached squeezer unitary.  The
 # bytes tell -0.0 from 0.0, whose unitaries differ in the sign of a zero.
 _RETARDANCE_KEY = struct.Struct(f"<{len(DEFAULT_SQUEEZER_AXES)}d")
+
+
+class _LookAhead(NamedTuple):
+    """The next aggregate window, stepped and evaluated one window early.
+
+    drift: each user's drift unitary for that window.
+    keys: (window index, alice's and bob's retardance keys) of the
+      squeezers its probabilities were computed under.
+    probabilities: its (12, 12, 4) class probabilities.
+    """
+
+    drift: dict
+    keys: tuple
+    probabilities: np.ndarray
 
 
 class UserNode:
@@ -169,6 +184,8 @@ class CharlieNode:
         self.tallies = {"Z": TallySet(), "X": TallySet()}
         # user -> (retardance key, read-only squeezer unitary)
         self._squeezers: dict = {}
+        # The next window's look-ahead, or None: see _class_probabilities.
+        self._ahead: _LookAhead | None = None
         self.traces: list = []
         # The last window's trace fields, awaiting the users' trigger flags.
         self._last_trace: dict | None = None
@@ -226,14 +243,16 @@ class CharlieNode:
     def _run_window(self, index: int, states: dict) -> list:
         t_start, dt, meas_basis = self.windows[index]
         n_slots = self.config.slots_in(dt)
-        channels = {user: self.drift[user].step(dt)
-                    @ self._squeezer(states[user]) for user in USERS}
+        squeezers = {user: self._squeezer(states[user]) for user in USERS}
+        ahead, self._ahead = self._ahead, None
+        drift = (ahead.drift if ahead is not None else
+                 {user: self.drift[user].step(dt) for user in USERS})
+        channels = {user: drift[user] @ squeezers[user] for user in USERS}
         if self.config.sampling == "per-slot":
             routes = self._sample_slots(index, n_slots, meas_basis, channels)
         else:
-            class_probs = engine.window_class_probabilities(
-                self.classes, channels["alice"], channels["bob"],
-                meas_basis, self.config.detector)
+            class_probs = self._class_probabilities(index, channels,
+                                                    squeezers, ahead)
             _, outcome_counts = engine.sample_window_counts(
                 n_slots, self.classes, class_probs, self.rng)
             routes = engine.route_window(self.classes, meas_basis,
@@ -256,10 +275,11 @@ class CharlieNode:
                 reference = self.trackers[user].update((meas_basis, label),
                                                        n_total)
                 window.add(meas_basis, label, n_wrong, reference)
-            estimate = estimate_theta(window)
-            theta = estimate.theta(meas_basis)
+            # The window holds the measured basis only.
+            pooled = window.pooled(meas_basis)
+            theta = pooled_angle(*pooled)
             est_theta[user] = theta
-            estimator_counts[user] = window.pooled(meas_basis)
+            estimator_counts[user] = pooled
             out.append((user, MisalignmentAnnouncement(
                 user=user, window=index,
                 theta_z=theta if meas_basis == "Z" else None,
@@ -272,6 +292,40 @@ class CharlieNode:
             n_slots=n_slots, est_theta=est_theta, true_theta=true_theta,
             estimator_counts=estimator_counts, counts=counts)
         return out
+
+    def _class_probabilities(self, index: int, channels: dict,
+                             squeezers: dict, ahead) -> np.ndarray:
+        """The aggregate window's class probabilities, a window pair per call.
+
+        Compensators change only after a coherent estimate, that is after
+        an X window, so a Z window shares its squeezers with the window
+        after it.  Without a look-ahead, this steps both users' drift for
+        the next window as well, under the present squeezers, and gets
+        both windows' probabilities from one kernel call; the next window
+        reuses them if its compensator states are the same, and computes
+        its own otherwise.  The drift walks are open-loop and draw from
+        their own streams, so stepping them a window early changes no
+        value.
+        """
+        meas_basis = self.windows[index][2]
+        keys = (index, *(self._squeezers[user][0] for user in USERS))
+        if ahead is not None and ahead.keys == keys:
+            return ahead.probabilities
+        if ahead is not None or index + 1 == len(self.windows):
+            return engine.window_class_probabilities(
+                self.classes, channels["alice"], channels["bob"],
+                meas_basis, self.config.detector)
+        _, next_dt, next_basis = self.windows[index + 1]
+        drift = {user: self.drift[user].step(next_dt) for user in USERS}
+        pair = {user: np.stack([channels[user],
+                                drift[user] @ squeezers[user]])
+                for user in USERS}
+        probs = engine.window_class_probabilities(
+            self.classes, pair["alice"], pair["bob"],
+            (meas_basis, next_basis), self.config.detector)
+        self._ahead = _LookAhead(drift=drift, keys=(index + 1, *keys[1:]),
+                                 probabilities=probs[1])
+        return probs[0]
 
     def _sample_slots(self, index: int, n_slots: int, meas_basis: str,
                       channels: dict) -> engine.WindowRoutes:

@@ -1,5 +1,6 @@
 """Measurement-node checks against quadrature and closed-form oracles."""
 
+import bisect
 import math
 
 import numpy as np
@@ -151,6 +152,70 @@ def test_grid_equals_two_call_reference_bit_for_bit(mu_scale, params):
                     classes.states @ channel_b.T, mus, basis, params)
             assert np.array_equal(bsm.class_probability_grid(*args),
                                   _reference_grid(*args))
+
+
+def _reference_phase_coefficients(states_a, mus_a, states_b, mus_b, basis):
+    """c0 and c1 from one amplitude product per sender, as before the
+    two were joined."""
+    bras_t = bsm.ARM_PROJECTORS[basis].T
+    amps_a = states_a @ bras_t * np.sqrt(mus_a)[:, None]
+    amps_b = states_b @ bras_t * np.sqrt(mus_b)[:, None]
+    c0 = (np.abs(amps_a[:, None, :]) ** 2
+          + np.abs(amps_b[None, :, :]) ** 2) / 2.0
+    return c0, amps_a.conj()[:, None, :] * amps_b[None, :, :]
+
+
+# The second case reaches eta |c1| >= 2, past the small-argument series.
+@pytest.mark.parametrize("mu_scale, params", [
+    (1.0, bsm.DetectorParams()),
+    (40.0, bsm.DetectorParams(efficiency=1.0)),
+])
+def test_window_stack_equals_single_windows_bit_for_bit(mu_scale, params):
+    classes = DecisionClasses.build(IntensityTable())
+    mus = classes.mean_photons * mu_scale
+    rng = np.random.default_rng(2200)
+    for n_windows in (1, 2, 3, 5, 16, 2, 2, 1, 7, 2, 9, 2, 4, 2, 3, 2, 41):
+        channels = [[pol.rotation_about_stokes_axis(
+            rng.normal(size=3), rng.uniform(0.0, 2.0 * math.pi))
+            for _ in range(2)] for _ in range(n_windows)]
+        bases = [("Z", "X")[bit] for bit in rng.integers(0, 2, n_windows)]
+        states_a, states_b = (np.stack([classes.states @ pair[user].T
+                                        for pair in channels])
+                              for user in (0, 1))
+        stack = bsm.class_probability_grid(states_a, mus, states_b, mus,
+                                           bases, params)
+        c0_stack, c1_stack = bsm.phase_coefficients(states_a, mus, states_b,
+                                                    mus, bases)
+        assert stack.shape == (n_windows, 12, 12, 4)
+        for w, basis in enumerate(bases):
+            args = (states_a[w], mus, states_b[w], mus, basis)
+            single = bsm.class_probability_grid(*args, params)
+            assert single.shape == (12, 12, 4)
+            # tobytes also tells -0.0 from 0.0.
+            assert stack[w].tobytes() == single.tobytes()
+            c0, c1 = bsm.phase_coefficients(*args)
+            # The per-slot sampler gathers rows of both arms at once.
+            assert c0.flags.c_contiguous and c1.flags.c_contiguous
+            ref_c0, ref_c1 = _reference_phase_coefficients(*args)
+            for got in (c0, c0_stack[w]):
+                assert np.ascontiguousarray(got).tobytes() == ref_c0.tobytes()
+            for got in (c1, c1_stack[w]):
+                assert np.ascontiguousarray(got).tobytes() == ref_c1.tobytes()
+
+
+def test_cut_series_equals_the_twelve_term_series_bit_for_bit():
+    rng = np.random.default_rng(2201)
+    # One grid inside each cut length's band of z_max, plus z_max = 2,
+    # the series limit.
+    z_maxes = [2.0 * math.sqrt(0.9 * q) for q in bsm._I0_CUT_Q] + [2.0]
+    lengths = set()
+    for z_max in z_maxes:
+        z = np.concatenate([np.linspace(0.0, z_max, 4001),
+                            z_max * rng.random(20000)])
+        lengths.add(bisect.bisect_right(bsm._I0_CUT_Q, (z_max / 2.0) ** 2)
+                    + 1)
+        assert bsm._log_i0(z).tobytes() == _reference_log_i0(z).tobytes()
+    assert lengths == set(range(1, bsm._I0_SERIES_TERMS + 1))
 
 
 def test_grid_probabilities_sum_to_one():

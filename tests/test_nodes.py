@@ -410,3 +410,99 @@ def test_squeezer_cache_tells_negative_zero_from_zero():
         unitary = charlie._squeezer(CompensatorState(
             user="alice", window=0, retardances=values))
         assert unitary.tobytes() == squeezer_unitary(values).tobytes()
+
+
+class _TwitchyUser(nodes.UserNode):
+    """A user that turns its first squeezer after every Z window, which a
+    real controller never does: only an X window completes an estimate."""
+
+    def handle(self, message):
+        if (isinstance(message, MisalignmentAnnouncement)
+                and message.theta_z is not None):
+            self.bank.retardances[0] += 0.25
+        return super().handle(message)
+
+
+@pytest.mark.parametrize("duration_s, overrides, twitchy, kernel_calls", [
+    # Every X window arrives with new squeezers: it misses the look-ahead
+    # and is computed alone.
+    (90.0, {}, True, 6),
+    # Windows 0 and 1 share a call; the last window has no next one.
+    (45.0, {}, False, 2),
+    (60.0, {"compensation_enabled": False}, False, 2),
+    (60.0, {}, False, 2),
+])
+def test_every_aggregate_window_samples_its_own_channels(
+        monkeypatch, duration_s, overrides, twitchy, kernel_calls):
+    config = SessionConfig(duration_s=duration_s, rep_rate_hz=1e5, seed=77,
+                           initial_misalignment_a=0.1,
+                           initial_misalignment_b=0.05, **overrides)
+    retardances = {user: [] for user in USERS}
+    sampled, calls = [], []
+    run_window = nodes.CharlieNode._run_window
+    sample = nodes.engine.sample_window_counts
+    grid = nodes.engine.class_probability_grid
+
+    def recording_window(self, index, states):
+        for user in USERS:
+            retardances[user].append(states[user].retardances)
+        return run_window(self, index, states)
+
+    def spying_sample(n_slots, classes, class_probs, rng):
+        sampled.append(class_probs.copy())
+        return sample(n_slots, classes, class_probs, rng)
+
+    def counting_grid(*args):
+        calls.append(args[4])
+        return grid(*args)
+
+    monkeypatch.setattr(nodes.CharlieNode, "_run_window", recording_window)
+    monkeypatch.setattr(nodes.engine, "sample_window_counts", spying_sample)
+    monkeypatch.setattr(nodes.engine, "class_probability_grid",
+                        counting_grid)
+    if twitchy:
+        monkeypatch.setattr(nodes, "UserNode", _TwitchyUser)
+    report = run_session(config)
+
+    assert len(calls) == kernel_calls
+    assert len(sampled) == len(report.windows)
+    if twitchy:
+        # The compensators did change between every Z window and the next.
+        assert all(retardances["alice"][w] != retardances["alice"][w + 1]
+                   for w in range(0, len(report.windows), 2))
+    charlie = nodes.CharlieNode(config)
+    drift = {"alice": DriftProcess(config.drift_rate_a,
+                                   seed=[config.seed, nodes._STREAM_DRIFT_A],
+                                   initial=random_misalignment(
+                                       config.initial_misalignment_a,
+                                       seed=[config.seed,
+                                             nodes._STREAM_INIT_A])),
+             "bob": DriftProcess(config.drift_rate_b,
+                                 seed=[config.seed, nodes._STREAM_DRIFT_B],
+                                 initial=random_misalignment(
+                                     config.initial_misalignment_b,
+                                     seed=[config.seed,
+                                           nodes._STREAM_INIT_B]))}
+    for trace, probs in zip(report.windows, sampled):
+        channels = {user: drift[user].step(trace.duration) @ squeezer_unitary(
+            retardances[user][trace.index]) for user in USERS}
+        expected = nodes.engine.window_class_probabilities(
+            charlie.classes, channels["alice"], channels["bob"],
+            trace.meas_basis, config.detector)
+        assert probs.tobytes() == expected.tobytes()
+
+
+def test_a_per_slot_session_never_calls_the_kernel(monkeypatch):
+    calls = []
+    grid = nodes.engine.class_probability_grid
+
+    def counting_grid(*args):
+        calls.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(nodes.engine, "class_probability_grid",
+                        counting_grid)
+    report = run_session(SessionConfig(duration_s=45.0, rep_rate_hz=1e4,
+                                       seed=78, sampling="per-slot"))
+    assert len(report.windows) == 3
+    assert calls == []

@@ -366,11 +366,13 @@ def _cmd_sweep(args, parser) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     base = replace(base, **overrides)
+    # Every grid point is validated before anything is run or written.
+    configs = [replace(base, controller=replace(base.controller,
+                                                **{args.param: value}))
+               for value in values]
     _ensure_out_dir(args.out)
     rows = []
-    for value in values:
-        controller = replace(base.controller, **{args.param: value})
-        config = replace(base, controller=controller)
+    for value, config in zip(values, configs):
         report = run_session(config)
         for user in USERS:
             true_means = report.mean_true_theta(user)
@@ -462,3 +464,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,9 +59,23 @@ class EstimatorWindow:
         entry.n_max += n_max
 
     def pooled(self, basis: str) -> tuple[float, float]:
-        entries = self.counts.get(basis, {})
-        return (sum(e.n_err for e in entries.values()),
-                sum(e.n_max for e in entries.values()))
+        return pool_counts([(e.n_err, e.n_max)
+                            for e in self.counts.get(basis, {}).values()])
+
+
+def pool_counts(states) -> tuple[float, float]:
+    """One basis' pooled (N_err, N_max) from its states' (n_err, n_max).
+
+    The states are summed in the order given, each first added to 0.0 as
+    in a fresh StateCounts, so the sums are floats whatever the counts'
+    types; an empty basis pools to (0, 0).  EstimatorWindow.pooled and
+    the measurement node, which keeps no window object, both pool here.
+    """
+    n_err = n_max = 0
+    for state_err, state_max in states:
+        n_err += 0.0 + state_err
+        n_max += 0.0 + state_max
+    return n_err, n_max
 
 
 @dataclass(frozen=True)
@@ -172,16 +186,22 @@ class ControllerConfig:
     best_tolerance: float = 1e-4
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise CompensationError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.threshold <= 0.0:
-            raise CompensationError("threshold must be positive")
-        if self.max_step <= 0.0:
-            raise CompensationError("max_step must be positive")
+        # Written so that NaN fails every comparison and is refused.
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise CompensationError(
+                f"alpha must be finite and nonnegative, got {self.alpha}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise CompensationError(
+                f"threshold must be finite and positive, got {self.threshold}")
+        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
+            raise CompensationError(
+                f"max_step must be finite and positive, got {self.max_step}")
         if self.stall_patience < 1:
             raise CompensationError("stall_patience must be at least 1")
-        if self.best_tolerance < 0.0:
-            raise CompensationError("best_tolerance must be nonnegative")
+        if not (math.isfinite(self.best_tolerance)
+                and self.best_tolerance >= 0.0):
+            raise CompensationError("best_tolerance must be finite and "
+                                    f"nonnegative, got {self.best_tolerance}")
 
 
 @dataclass

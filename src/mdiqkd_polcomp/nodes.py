@@ -16,10 +16,22 @@ replies with a misalignment announcement, and each user runs its local
 control step, which becomes the next window's compensator state.  The
 window's bookkeeping (tallies, conservation classes) stays at the
 measurement node, which writes it into the session report.
+
+Compensators change rarely: the controller acts at most once per Z/X
+window pair, and in a 4 h reference session both users' compensator
+states hold for about ten windows at a time.  The measurement node
+therefore does its compensator-dependent work once per change.  A user
+node hands over one retardance tuple for as long as its bank holds the
+same bytes, and the measurement node checks that tuple, keys it and
+builds its squeezer unitary once.  In aggregate sampling the node steps
+the open-loop drift ahead and evaluates the optics kernel on a stack of
+upcoming windows under the present squeezers, which lasts until a
+compensator changes (see CharlieNode._class_probabilities).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -27,14 +39,15 @@ import socket
 import struct
 import sys
 import traceback
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
-from .compensation import (ControllerState, EstimatorWindow,
-                           MisalignmentEstimate, ReferenceTracker,
-                           control_step, pooled_angle)
+from .compensation import (ControllerState, MisalignmentEstimate,
+                           ReferenceTracker, control_step, pool_counts,
+                           pooled_angle)
 from .polarization import (DEFAULT_SQUEEZER_AXES, RETARDANCE_LIMIT,
                            DriftProcess, SqueezerBank, misalignment_angles,
                            random_misalignment, squeezer_unitary)
@@ -59,6 +72,13 @@ SOCKET_TIMEOUT_S = 60.0
 # memory grows.
 SLOT_CHUNK = 1 << 18
 
+# Windows one optics kernel call evaluates at most.  Per window, a
+# reference-settings kernel call took 75 us alone, 47 us in a stack of 2,
+# 32 us in 4, 24 us in 8 and 22 us in 10, but 29-31 us in stacks of 12
+# and 16 (best of seven, 2-core Intel Xeon, Python 3.11, numpy 2.4).
+# Stacks double from 2, so 8 is the last depth that still gains.
+MAX_STACK = 8
+
 # Seed-stream tags keep the independent random streams decoupled while
 # remaining pure functions of the session seed.
 _STREAM_INIT_A = 0xA0
@@ -72,16 +92,17 @@ _STREAM_SAMPLER = 0xC0
 _RETARDANCE_KEY = struct.Struct(f"<{len(DEFAULT_SQUEEZER_AXES)}d")
 
 
-class _LookAhead(NamedTuple):
-    """The next aggregate window, stepped and evaluated one window early.
+class _Stack(NamedTuple):
+    """Class probabilities of consecutive aggregate windows, from one call.
 
-    drift: each user's drift unitary for that window.
-    keys: (window index, alice's and bob's retardance keys) of the
-      squeezers its probabilities were computed under.
-    probabilities: its (12, 12, 4) class probabilities.
+    start: index of the first window.
+    keys: alice's and bob's retardance keys of the squeezers the stack
+      was computed under.
+    probabilities: (depth, 12, 12, 4) class probabilities, one entry per
+      window from `start` on.
     """
 
-    drift: dict
+    start: int
     keys: tuple
     probabilities: np.ndarray
 
@@ -98,11 +119,20 @@ class UserNode:
         self.controller = ControllerState(n_squeezers=len(self.bank))
         self.last_theta = {"Z": None, "X": None}
         self._fresh = {"Z": False, "X": False}
+        # The bank's bytes and the retardance tuple last handed over.
+        self._sent: tuple = (None, None)
         self.finished = False
 
     def _compensator_state(self, window: int, triggered: bool) -> CompensatorState:
+        # One tuple object for as long as the bank holds the same bytes,
+        # however they changed, so the measurement node can tell an
+        # unchanged compensator by identity.  Bytes, not ==, because
+        # -0.0 == 0.0 and their squeezer unitaries differ.
+        raw = self.bank.retardances.tobytes()
+        if raw != self._sent[0]:
+            self._sent = (raw, tuple(self.bank.retardances.tolist()))
         return CompensatorState(user=self.name, window=window,
-                                retardances=tuple(self.bank.retardances.tolist()),
+                                retardances=self._sent[1],
                                 triggered=triggered)
 
     def initial_message(self) -> CompensatorState:
@@ -184,8 +214,13 @@ class CharlieNode:
         self.tallies = {"Z": TallySet(), "X": TallySet()}
         # user -> (retardance key, read-only squeezer unitary)
         self._squeezers: dict = {}
-        # The next window's look-ahead, or None: see _class_probabilities.
-        self._ahead: _LookAhead | None = None
+        # user -> the retardance tuple last checked and keyed
+        self._retardances: dict = {}
+        # Drift unitaries of the windows after the current one, stepped
+        # ahead for a kernel stack, in window order; see
+        # _class_probabilities.
+        self._drift_ahead: deque = deque()
+        self._stack: _Stack | None = None
         self.traces: list = []
         # The last window's trace fields, awaiting the users' trigger flags.
         self._last_trace: dict | None = None
@@ -209,7 +244,7 @@ class CharlieNode:
             raise SessionFailure(
                 f"duplicate compensator state from {message.user} for "
                 f"window {message.window}")
-        _check_retardances(message)
+        self._squeezer(message)
         self._pending_states[message.user] = message
         if set(self._pending_states) != set(USERS):
             return []
@@ -231,28 +266,36 @@ class CharlieNode:
     # -- physics -----------------------------------------------------------
 
     def _squeezer(self, state: CompensatorState) -> np.ndarray:
-        """The user's squeezer unitary, rebuilt only when its retardances change."""
-        key = _RETARDANCE_KEY.pack(*state.retardances)
-        cached = self._squeezers.get(state.user)
-        if cached is None or cached[0] != key:
-            unitary = squeezer_unitary(state.retardances)
-            unitary.flags.writeable = False
-            cached = self._squeezers[state.user] = (key, unitary)
-        return cached[1]
+        """The user's squeezer unitary, after checking its retardances.
+
+        A retardance tuple is checked and keyed once: a later state that
+        carries the same (immutable) tuple object reuses the result.  The
+        unitary is rebuilt only when the key, the retardances' bytes,
+        changes.
+        """
+        if self._retardances.get(state.user) is not state.retardances:
+            _check_retardances(state)
+            key = _RETARDANCE_KEY.pack(*state.retardances)
+            cached = self._squeezers.get(state.user)
+            if cached is None or cached[0] != key:
+                unitary = squeezer_unitary(state.retardances)
+                unitary.flags.writeable = False
+                self._squeezers[state.user] = (key, unitary)
+            self._retardances[state.user] = state.retardances
+        return self._squeezers[state.user][1]
 
     def _run_window(self, index: int, states: dict) -> list:
         t_start, dt, meas_basis = self.windows[index]
         n_slots = self.config.slots_in(dt)
         squeezers = {user: self._squeezer(states[user]) for user in USERS}
-        ahead, self._ahead = self._ahead, None
-        drift = (ahead.drift if ahead is not None else
+        drift = (self._drift_ahead.popleft() if self._drift_ahead else
                  {user: self.drift[user].step(dt) for user in USERS})
         channels = {user: drift[user] @ squeezers[user] for user in USERS}
         if self.config.sampling == "per-slot":
             routes = self._sample_slots(index, n_slots, meas_basis, channels)
         else:
             class_probs = self._class_probabilities(index, channels,
-                                                    squeezers, ahead)
+                                                    squeezers)
             _, outcome_counts = engine.sample_window_counts(
                 n_slots, self.classes, class_probs, self.rng)
             routes = engine.route_window(self.classes, meas_basis,
@@ -270,13 +313,13 @@ class CharlieNode:
         estimator_counts = {}
         out = []
         for user in USERS:
-            window = EstimatorWindow(duration=dt)
-            for label, (n_wrong, n_total) in sorted(singles[user].items()):
-                reference = self.trackers[user].update((meas_basis, label),
-                                                       n_total)
-                window.add(meas_basis, label, n_wrong, reference)
-            # The window holds the measured basis only.
-            pooled = window.pooled(meas_basis)
+            # The measured basis' states against their reference totals,
+            # pooled as an EstimatorWindow of this window would pool them.
+            update = self.trackers[user].update
+            pooled = pool_counts([
+                (n_wrong, update((meas_basis, label), n_total))
+                for label, (n_wrong, n_total)
+                in sorted(singles[user].items())])
             theta = pooled_angle(*pooled)
             est_theta[user] = theta
             estimator_counts[user] = pooled
@@ -294,37 +337,49 @@ class CharlieNode:
         return out
 
     def _class_probabilities(self, index: int, channels: dict,
-                             squeezers: dict, ahead) -> np.ndarray:
-        """The aggregate window's class probabilities, a window pair per call.
+                             squeezers: dict) -> np.ndarray:
+        """The aggregate window's class probabilities, from a window stack.
 
-        Compensators change only after a coherent estimate, that is after
-        an X window, so a Z window shares its squeezers with the window
-        after it.  Without a look-ahead, this steps both users' drift for
-        the next window as well, under the present squeezers, and gets
-        both windows' probabilities from one kernel call; the next window
-        reuses them if its compensator states are the same, and computes
-        its own otherwise.  The drift walks are open-loop and draw from
-        their own streams, so stepping them a window early changes no
-        value.
+        One kernel call evaluates a stack of upcoming windows under the
+        present squeezers, and each later window takes its entry while
+        both users' retardance keys still match the stack's.  A window
+        that the stack does not cover, or whose compensators changed,
+        starts a new stack.  Its depth starts at 2, because a controller
+        acts only after a coherent estimate, i.e. after an X window, so a
+        Z window always shares its squeezers with the next one.  The
+        depth doubles, up to MAX_STACK, after a stack was used to its end
+        and drops back to 2 after a miss.  For the windows after this
+        one the stack needs their drift: each walk is stepped once per
+        window, in window order, and the unitaries wait in _drift_ahead
+        until their windows run, whether the stack hits or not.  The
+        walks are open-loop and draw from their own streams, so stepping
+        them early changes no value, and the kernel's stacked results
+        equal its single-window ones bit for bit.
         """
-        meas_basis = self.windows[index][2]
-        keys = (index, *(self._squeezers[user][0] for user in USERS))
-        if ahead is not None and ahead.keys == keys:
-            return ahead.probabilities
-        if ahead is not None or index + 1 == len(self.windows):
-            return engine.window_class_probabilities(
-                self.classes, channels["alice"], channels["bob"],
-                meas_basis, self.config.detector)
-        _, next_dt, next_basis = self.windows[index + 1]
-        drift = {user: self.drift[user].step(next_dt) for user in USERS}
-        pair = {user: np.stack([channels[user],
-                                drift[user] @ squeezers[user]])
-                for user in USERS}
+        keys = tuple(self._squeezers[user][0] for user in USERS)
+        stack = self._stack
+        depth = 2
+        if stack is not None:
+            offset = index - stack.start
+            if offset >= len(stack.probabilities):
+                depth = min(2 * len(stack.probabilities), MAX_STACK)
+            elif stack.keys == keys:
+                return stack.probabilities[offset]
+        depth = min(depth, len(self.windows) - index)
+        ahead = self._drift_ahead
+        while len(ahead) < depth - 1:
+            dt = self.windows[index + 1 + len(ahead)][1]
+            ahead.append({user: self.drift[user].step(dt) for user in USERS})
+        stacked = {user: np.stack([channels[user]] + [
+            drift[user] @ squeezers[user]
+            for drift in itertools.islice(ahead, depth - 1)])
+            for user in USERS}
         probs = engine.window_class_probabilities(
-            self.classes, pair["alice"], pair["bob"],
-            (meas_basis, next_basis), self.config.detector)
-        self._ahead = _LookAhead(drift=drift, keys=(index + 1, *keys[1:]),
-                                 probabilities=probs[1])
+            self.classes, stacked["alice"], stacked["bob"],
+            tuple(basis for _, _, basis in
+                  self.windows[index:index + depth]),
+            self.config.detector)
+        self._stack = _Stack(start=index, keys=keys, probabilities=probs)
         return probs[0]
 
     def _sample_slots(self, index: int, n_slots: int, meas_basis: str,

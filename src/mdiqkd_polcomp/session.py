@@ -18,6 +18,7 @@ and pins down the privacy semantics at slot granularity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -88,8 +89,10 @@ class SessionConfig:
             raise SessionError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
         for name in ("drift_rate_a", "drift_rate_b",
                      "initial_misalignment_a", "initial_misalignment_b"):
-            if getattr(self, name) < 0.0:
-                raise SessionError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise SessionError(f"{name} must be finite and >= 0, "
+                                   f"got {value}")
         if self.mode not in MODES:
             raise SessionError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.sampling not in SAMPLING_BACKENDS:
@@ -97,8 +100,11 @@ class SessionConfig:
                                f"got {self.sampling!r}")
         if self.mode == "networked" and self.sampling != "aggregate":
             raise SessionError("networked mode supports aggregate sampling only")
-        if not isinstance(self.seed, int):
-            raise SessionError(f"seed must be an integer, got {self.seed!r}")
+        # bool is an int subclass; numpy seeds only nonnegative integers.
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise SessionError(f"seed must be a nonnegative integer, got "
+                               f"{self.seed!r}")
         if not 0.0 < self.reference_smoothing <= 1.0:
             raise SessionError("reference_smoothing must be in (0, 1], got "
                                f"{self.reference_smoothing}")

@@ -66,7 +66,9 @@ class IntensityTable:
         probs = self.probabilities
         if min(probs) < 0.0:
             raise TransmitterError("intensity probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
+        # Written so that a NaN probability, which no comparison sees,
+        # fails the sum.
+        if not abs(sum(probs) - 1.0) <= 1e-9:
             raise TransmitterError(
                 f"intensity probabilities must sum to 1, got {sum(probs)!r}")
 

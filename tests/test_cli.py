@@ -363,6 +363,42 @@ def test_simulate_too_many_windows_exits_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, text, field", [
+    (["--seed", "-1"], "", "seed"),
+    ([], "[session]\nseed = -3\n", "seed"),
+    ([], "[drift]\nrate_a = nan\n", "drift_rate_a"),
+    ([], "[drift]\nrate_b = inf\n", "drift_rate_b"),
+    ([], "[drift]\ninitial_misalignment_a = nan\n",
+     "initial_misalignment_a"),
+    ([], "[controller]\nalpha = nan\n", "alpha"),
+    ([], "[controller]\nthreshold = nan\n", "threshold"),
+    ([], "[controller]\nmax_step = inf\n", "max_step"),
+    ([], "[controller]\nbest_tolerance = nan\n", "best_tolerance"),
+])
+def test_simulate_unusable_value_exits_before_writing(tmp_path, capsys, argv,
+                                                      text, field):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(ini), "--duration", "30",
+                 *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, values", [("threshold", "nan"),
+                                           ("alpha", "0.5,inf")])
+def test_sweep_unusable_value_exits_before_writing(tmp_path, capsys, param,
+                                                   values):
+    out = tmp_path / "o"
+    assert main(["sweep", "--param", param, "--values", values,
+                 "--duration", "30", "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{param} must be finite" in captured.err
+    assert "done" not in captured.out
+    assert not out.exists()
+
+
 def test_simulate_unwritable_out_exits_with_output_code(capsys):
     assert main(["simulate", "--duration", "0",
                  "--out", "/proc/no/such/place"]) == EXIT_OUTPUT
@@ -471,6 +507,23 @@ SCRIPT_NAME = "mdiqkd-polcomp"
 SCRIPT_TARGET = "mdiqkd_polcomp.cli:main"
 
 
+def _source_env() -> dict:
+    """The environment with the checkout's src/ first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
+
+
+@pytest.mark.parametrize("module", ["mdiqkd_polcomp", "mdiqkd_polcomp.cli"])
+def test_module_runs_the_command_line_from_a_checkout(module, tmp_path):
+    done = subprocess.run([sys.executable, "-m", module, "--version"],
+                          capture_output=True, text=True, timeout=60,
+                          env=_source_env(), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{SCRIPT_NAME} {__version__}"
+
+
 def _declared_scripts() -> dict:
     """The ``[project.scripts]`` table of the repository's pyproject.toml."""
     tomllib = pytest.importorskip("tomllib")
@@ -547,12 +600,9 @@ def test_simulate_never_imports_scipy(tmp_path):
     ini = tmp_path / "per_slot.ini"
     ini.write_text("[session]\nduration_s = 60\nrep_rate_hz = 10000\n",
                    encoding="utf-8")
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + ([path] if path else [])))
     done = subprocess.run(
         [sys.executable, "-c", COLD_START, str(tmp_path), str(ini)],
-        capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path)
+        capture_output=True, text=True, timeout=300, env=_source_env(),
+        cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"

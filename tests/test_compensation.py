@@ -249,6 +249,16 @@ def test_config_validation():
         comp.ControllerConfig(stall_patience=0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "threshold", "max_step",
+                                   "best_tolerance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_validation_refuses_non_finite_values(field, value):
+    # NaN fails every comparison, so a bound check alone would let it in.
+    with pytest.raises(comp.CompensationError,
+                       match=f"{field} must be finite"):
+        comp.ControllerConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Closed-loop properties
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdiqkd_polcomp import nodes
@@ -355,6 +356,18 @@ def test_measurement_node_refuses_boolean_retardances(value):
         charlie.handle(decoded)
 
 
+def _replayed_drift(config: SessionConfig) -> dict:
+    """Each user's drift walk, replayed from its own seed streams."""
+    return {user: DriftProcess(rate, seed=[config.seed, drift_tag],
+                               initial=random_misalignment(
+                                   initial, seed=[config.seed, init_tag]))
+            for user, rate, initial, drift_tag, init_tag in (
+                ("alice", config.drift_rate_a, config.initial_misalignment_a,
+                 nodes._STREAM_DRIFT_A, nodes._STREAM_INIT_A),
+                ("bob", config.drift_rate_b, config.initial_misalignment_b,
+                 nodes._STREAM_DRIFT_B, nodes._STREAM_INIT_B))}
+
+
 def test_squeezer_unitary_is_rebuilt_only_when_retardances_change():
     config = SessionConfig(duration_s=90.0, rep_rate_hz=1e4, seed=31,
                            initial_misalignment_a=0.1,
@@ -383,14 +396,7 @@ def test_squeezer_unitary_is_rebuilt_only_when_retardances_change():
     for _, unitary in charlie._squeezers.values():
         assert not unitary.flags.writeable
 
-    streams = {"alice": (config.drift_rate_a, config.initial_misalignment_a,
-                         nodes._STREAM_DRIFT_A, nodes._STREAM_INIT_A),
-               "bob": (config.drift_rate_b, config.initial_misalignment_b,
-                       nodes._STREAM_DRIFT_B, nodes._STREAM_INIT_B)}
-    for user, (rate, initial, drift_tag, init_tag) in streams.items():
-        drift = DriftProcess(rate, seed=[config.seed, drift_tag],
-                             initial=random_misalignment(
-                                 initial, seed=[config.seed, init_tag]))
+    for user, drift in _replayed_drift(config).items():
         for trace in charlie.report.windows:
             expected = misalignment_angles(
                 drift.step(trace.duration)
@@ -423,22 +429,12 @@ class _TwitchyUser(nodes.UserNode):
         return super().handle(message)
 
 
-@pytest.mark.parametrize("duration_s, overrides, twitchy, kernel_calls", [
-    # Every X window arrives with new squeezers: it misses the look-ahead
-    # and is computed alone.
-    (90.0, {}, True, 6),
-    # Windows 0 and 1 share a call; the last window has no next one.
-    (45.0, {}, False, 2),
-    (60.0, {"compensation_enabled": False}, False, 2),
-    (60.0, {}, False, 2),
-])
-def test_every_aggregate_window_samples_its_own_channels(
-        monkeypatch, duration_s, overrides, twitchy, kernel_calls):
-    config = SessionConfig(duration_s=duration_s, rep_rate_hz=1e5, seed=77,
-                           initial_misalignment_a=0.1,
-                           initial_misalignment_b=0.05, **overrides)
+def _spied_session(monkeypatch, config: SessionConfig, user_node=None):
+    """Run a session with `user_node` as the user class; return its
+    report, every window's retardances per user, every window's sampled
+    class probabilities and each kernel call's window count."""
     retardances = {user: [] for user in USERS}
-    sampled, calls = [], []
+    sampled, depths = [], []
     run_window = nodes.CharlieNode._run_window
     sample = nodes.engine.sample_window_counts
     grid = nodes.engine.class_probability_grid
@@ -452,37 +448,27 @@ def test_every_aggregate_window_samples_its_own_channels(
         sampled.append(class_probs.copy())
         return sample(n_slots, classes, class_probs, rng)
 
-    def counting_grid(*args):
-        calls.append(args[4])
-        return grid(*args)
+    def measuring_grid(*args):
+        result = grid(*args)
+        depths.append(result.shape[0] if result.ndim == 4 else 1)
+        return result
 
     monkeypatch.setattr(nodes.CharlieNode, "_run_window", recording_window)
     monkeypatch.setattr(nodes.engine, "sample_window_counts", spying_sample)
     monkeypatch.setattr(nodes.engine, "class_probability_grid",
-                        counting_grid)
-    if twitchy:
-        monkeypatch.setattr(nodes, "UserNode", _TwitchyUser)
-    report = run_session(config)
+                        measuring_grid)
+    if user_node is not None:
+        monkeypatch.setattr(nodes, "UserNode", user_node)
+    return run_session(config), retardances, sampled, depths
 
-    assert len(calls) == kernel_calls
+
+def _assert_windows_match_replay(config, report, retardances, sampled):
+    """Every sampled window's class probabilities and true angles equal
+    the single-window kernel's on channels rebuilt from a replayed drift
+    walk and each window's retardances."""
     assert len(sampled) == len(report.windows)
-    if twitchy:
-        # The compensators did change between every Z window and the next.
-        assert all(retardances["alice"][w] != retardances["alice"][w + 1]
-                   for w in range(0, len(report.windows), 2))
     charlie = nodes.CharlieNode(config)
-    drift = {"alice": DriftProcess(config.drift_rate_a,
-                                   seed=[config.seed, nodes._STREAM_DRIFT_A],
-                                   initial=random_misalignment(
-                                       config.initial_misalignment_a,
-                                       seed=[config.seed,
-                                             nodes._STREAM_INIT_A])),
-             "bob": DriftProcess(config.drift_rate_b,
-                                 seed=[config.seed, nodes._STREAM_DRIFT_B],
-                                 initial=random_misalignment(
-                                     config.initial_misalignment_b,
-                                     seed=[config.seed,
-                                           nodes._STREAM_INIT_B]))}
+    drift = _replayed_drift(config)
     for trace, probs in zip(report.windows, sampled):
         channels = {user: drift[user].step(trace.duration) @ squeezer_unitary(
             retardances[user][trace.index]) for user in USERS}
@@ -490,6 +476,120 @@ def test_every_aggregate_window_samples_its_own_channels(
             charlie.classes, channels["alice"], channels["bob"],
             trace.meas_basis, config.detector)
         assert probs.tobytes() == expected.tobytes()
+        assert trace.true_theta == {user: misalignment_angles(channels[user])
+                                    for user in USERS}
+
+
+@pytest.mark.parametrize("duration_s, overrides, twitchy, kernel_calls", [
+    # Every window misses its stack: each X window arrives with the
+    # twitch, and here each Z window with a controller step.  Each new
+    # stack holds a Z/X pair; the last window has no next one.
+    (90.0, {}, True, 6),
+    # Windows 0 and 1 share a call; the last window has no next one.
+    (45.0, {}, False, 2),
+    # Windows 2 and 3 fill a stack of 4 cut short by the session's end.
+    (60.0, {"compensation_enabled": False}, False, 2),
+    (60.0, {}, False, 2),
+])
+def test_every_aggregate_window_samples_its_own_channels(
+        monkeypatch, duration_s, overrides, twitchy, kernel_calls):
+    config = SessionConfig(duration_s=duration_s, rep_rate_hz=1e5, seed=77,
+                           initial_misalignment_a=0.1,
+                           initial_misalignment_b=0.05, **overrides)
+    report, retardances, sampled, depths = _spied_session(
+        monkeypatch, config, _TwitchyUser if twitchy else None)
+
+    assert len(depths) == kernel_calls
+    assert len(sampled) == len(report.windows)
+    if twitchy:
+        # The compensators did change between every Z window and the next.
+        assert all(retardances["alice"][w] != retardances["alice"][w + 1]
+                   for w in range(0, len(report.windows), 2))
+    _assert_windows_match_replay(config, report, retardances, sampled)
+
+
+class _ErraticUser(nodes.UserNode):
+    """A user that turns its squeezers in place at seeded random windows,
+    as no controller would: after Z windows, on consecutive windows and
+    for the last window, and once from 0.0 to -0.0 and back.  Windows 22
+    to 46 hold still, long enough for stacks to reach the cap."""
+
+    N_WINDOWS = 48
+    _rng = np.random.default_rng(2309)
+    # window -> (squeezer, value) set before that window's state is sent
+    TURNS = {int(window): (0, float(value)) for window, value in zip(
+        _rng.choice(np.arange(1, 22), size=10, replace=False),
+        _rng.uniform(-1.0, 1.0, size=10))}
+    TURNS.update({3: (0, 0.4), 4: (0, 0.5), 5: (0, 0.6), 11: (0, -0.3),
+                  N_WINDOWS - 1: (0, 0.7), 20: (2, -0.0), 21: (2, 0.0)})
+
+    def handle(self, message):
+        if isinstance(message, MisalignmentAnnouncement):
+            turn = self.TURNS.get(message.window + 1)
+            if turn is not None:
+                squeezer, value = turn
+                self.bank.retardances[squeezer] = value
+        return super().handle(message)
+
+
+@pytest.mark.parametrize("mode", ["in-process", "networked"])
+@pytest.mark.parametrize("compensation", [False, True])
+def test_window_stacks_follow_erratic_compensators(monkeypatch, mode,
+                                                   compensation):
+    config = SessionConfig(duration_s=15.0 * _ErraticUser.N_WINDOWS,
+                           rep_rate_hz=1e5, seed=79, mode=mode,
+                           initial_misalignment_a=0.1,
+                           initial_misalignment_b=0.05,
+                           compensation_enabled=compensation)
+    report, retardances, sampled, depths = _spied_session(
+        monkeypatch, config, _ErraticUser)
+
+    assert len(report.windows) == _ErraticUser.N_WINDOWS
+    # Stacks grew past the Z/X pair, never past the cap, and every
+    # window was evaluated at least once.
+    assert 2 < max(depths) <= nodes.MAX_STACK
+    assert sum(depths) >= len(sampled)
+    # The sign of a zero reached the node as a change of its own.
+    flipped = retardances["alice"][20], retardances["alice"][21]
+    assert flipped[0] == flipped[1]
+    assert [math.copysign(1.0, values[2]) for values in flipped] == [-1, 1]
+    _assert_windows_match_replay(config, report, retardances, sampled)
+
+
+def test_user_node_hands_over_one_tuple_per_bank_state():
+    user = nodes.UserNode("alice", SessionConfig(compensation_enabled=False))
+    first = user.initial_message().retardances
+
+    def next_state(window):
+        [state] = user.handle(MisalignmentAnnouncement(
+            user="alice", window=window, theta_z=0.1, theta_x=None))
+        return state.retardances
+
+    assert next_state(0) is first
+    user.bank.retardances[1] = -0.0  # equal to 0.0, but not in its bytes
+    flipped = next_state(1)
+    assert flipped == first and flipped is not first
+    assert next_state(2) is flipped
+    user.bank.retardances[1] = 0.25
+    assert next_state(3) == (0.0, 0.25, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode, checks", [
+    # In one process the users hand over the same tuple while their banks
+    # hold still: one check per user.  Decoded frames are new tuples:
+    # a check per state, four windows plus the closing one.
+    ("in-process", 2), ("networked", 10)])
+def test_retardances_are_checked_once_per_tuple(monkeypatch, mode, checks):
+    checked = []
+    check = nodes._check_retardances
+
+    def counting_check(message):
+        checked.append(message.window)
+        check(message)
+
+    monkeypatch.setattr(nodes, "_check_retardances", counting_check)
+    run_session(networked_config(mode=mode, compensation_enabled=False))
+    assert len(checked) == checks
 
 
 def test_a_per_slot_session_never_calls_the_kernel(monkeypatch):

@@ -68,6 +68,14 @@ def small_config(**overrides) -> SessionConfig:
           schedule=BasisSchedule(period=1.0)), r"2\*\*53"),
     (dict(duration_s=1e300), r"duration_s = 1e\+300 .*MAX_WINDOWS"),
     (dict(duration_s=math.inf), r"duration_s = inf .*MAX_WINDOWS"),
+    (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+    (dict(seed=True), "seed must be a nonnegative integer, got True"),
+    (dict(drift_rate_a=math.nan), "drift_rate_a must be finite"),
+    (dict(drift_rate_b=math.inf), "drift_rate_b must be finite"),
+    (dict(initial_misalignment_a=math.nan),
+     "initial_misalignment_a must be finite"),
+    (dict(initial_misalignment_b=math.inf),
+     "initial_misalignment_b must be finite"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(SessionError, match=match):

@@ -105,6 +105,9 @@ def test_intensity_table_validation():
         tx.IntensityTable(p_mu=0.9, p_nu=0.3, p_omega=0.15)  # sum > 1
     with pytest.raises(tx.TransmitterError):
         tx.IntensityTable(p_mu=1.2, p_nu=-0.35, p_omega=0.15)
+    for field in ("p_mu", "p_nu", "p_omega"):
+        with pytest.raises(tx.TransmitterError, match="sum to 1, got nan"):
+            tx.IntensityTable(**{field: math.nan})
 
 
 def test_decisions_are_deterministic_per_seed_and_slot():

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bsm import DetectorParams, pair_gain_and_qber
-from .transmitter import IntensityTable
+from .transmitter import MAX_INTENSITY, IntensityTable
 
 __all__ = [
     "CalibrationError",
@@ -65,9 +65,9 @@ def fit_efficiency(target_gain: float = DEFAULT_TARGET_GAIN,
     if not target_gain > 0.0:
         raise CalibrationError(f"target gain must be positive, "
                                f"got {target_gain}")
-    if not signal_intensity > 0.0:
-        raise CalibrationError(f"signal intensity must be positive, "
-                               f"got {signal_intensity}")
+    if not 0.0 < signal_intensity <= MAX_INTENSITY:
+        raise CalibrationError(f"signal intensity mu must be in (0, "
+                               f"{MAX_INTENSITY:.6g}], got {signal_intensity}")
     floor_eff = 1e-9
     floor = predicted_signal_gain(floor_eff, dark_prob, signal_intensity)
     ceiling = predicted_signal_gain(1.0, dark_prob, signal_intensity)

@@ -348,7 +348,7 @@ def _sweep_values(args, parser) -> list:
         if args.start is not None or args.stop is not None:
             parser.error("--values and --start/--stop are exclusive")
         try:
-            return [float(item) for item in args.values.split(",") if item]
+            return [float(item) for item in args.values.split(",")]
         except ValueError:
             parser.error(f"--values must be comma-separated numbers, "
                          f"got {args.values!r}")

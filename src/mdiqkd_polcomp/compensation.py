@@ -162,15 +162,20 @@ def plan_collection(p_hat: float, epsilon: float, delta: float,
     """
     if not 0.0 < p_hat < 1.0:
         raise CompensationError(f"p_hat must be in (0, 1), got {p_hat}")
-    if epsilon <= 0.0:
-        raise CompensationError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise CompensationError(f"epsilon must be in (0, inf), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise CompensationError(f"delta must be in (0, 1), got {delta}")
-    if rate is not None and rate <= 0.0:
-        raise CompensationError(f"rate must be positive, got {rate}")
-    n_min = math.ceil((2.0 + epsilon) * math.log(2.0 / delta)
-                      / (p_hat * epsilon ** 2))
+    if rate is not None and not 0.0 < rate < math.inf:
+        raise CompensationError(f"rate must be in (0, inf), got {rate}")
+    try:
+        n_min = math.ceil((2.0 + epsilon) * math.log(2.0 / delta)
+                          / (p_hat * epsilon ** 2))
+    except (ZeroDivisionError, OverflowError) as exc:  # p_hat eps^2 == 0
+        raise CompensationError("n_min is not finite") from exc
     t_min = n_min / rate if rate is not None else None
+    if t_min == math.inf:
+        raise CompensationError("t_min = n_min / rate is not finite")
     return CollectionPlan(n_min=n_min, t_min=t_min, p_hat=p_hat,
                           epsilon=epsilon, delta=delta, rate=rate)
 

@@ -592,8 +592,8 @@ def key_rate(p11_value: float, y11_lower: float, e11_upper: float,
             ("e_signal", e_signal, 0.0, 1.0)):
         if not low <= value <= high:
             raise DecoyError(f"{name} must be in [{low}, {high}], got {value}")
-    if f < 1.0:
-        raise DecoyError(f"error-correction efficiency must be >= 1, got {f}")
+    if not 1.0 <= f < math.inf:
+        raise DecoyError(f"error-correction efficiency must be in [1, inf), got {f}")
     raw = (p11_value * y11_lower * (1.0 - h2(e11_upper))
            - q_signal * f * h2(e_signal))
     return KeyRateReport(rate=max(raw, 0.0), raw_rate=raw, p11=p11_value,

@@ -533,10 +533,12 @@ def run_in_process(config: SessionConfig) -> SessionReport:
 #
 # Every frame is a small request or reply, so both ends set TCP_NODELAY:
 # with Nagle's algorithm on, each small write after the first waits for
-# the peer's delayed ACK (RFC 896, RFC 1122 4.2.3.2).  The parent waits
-# on a socket together with every child's sentinel, so a user process
-# that ends is noticed at once and named; SOCKET_TIMEOUT_S only bounds a
-# peer that is alive but silent.
+# the peer's delayed ACK (RFC 896, RFC 1122 4.2.3.2).  Each user connects
+# to its own listening port, so a link is named when it is accepted.
+# Until its user connects, the parent waits on the port together with
+# every child's sentinel, so a user process that ends is noticed at once
+# and named.  After that the user's own link reads EOF when it ends;
+# SOCKET_TIMEOUT_S only bounds a peer that is alive but silent.
 
 def _user_process_main(name: str, config: SessionConfig, port: int,
                        errors) -> None:
@@ -608,74 +610,61 @@ class _UserProcess:
         self.errors.close()
 
 
-def _await_readable(handles: list, users: dict, silence: str) -> None:
-    """Block until one of `handles` is readable or a user process ends.
-
-    An ended user raises its failure at once; no readiness within
-    SOCKET_TIMEOUT_S raises `silence`.
-    """
+def _await_connection(server: socket.socket, users: dict, name: str) -> None:
+    """Block until user `name` connects to `server`; a user process that
+    ends first raises its failure at once."""
     by_sentinel = {user.proc.sentinel: user for user in users.values()}
-    ready = multiprocessing.connection.wait([*handles, *by_sentinel],
+    ready = multiprocessing.connection.wait([server, *by_sentinel],
                                             SOCKET_TIMEOUT_S)
     for handle in ready:
         if handle in by_sentinel:
             raise by_sentinel[handle].failure()
     if not ready:
-        raise SessionFailure(f"{silence} within {SOCKET_TIMEOUT_S:g} s")
+        raise SessionFailure(f"user {name} did not connect within "
+                             f"{SOCKET_TIMEOUT_S:g} s")
 
 
 class _UserConnection:
     """Server-side view of one connected user."""
 
-    def __init__(self, conn: socket.socket, users: dict):
+    def __init__(self, conn: socket.socket, user: _UserProcess):
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(SOCKET_TIMEOUT_S)
         self.conn = conn
-        self.users = users
-        self.name: str | None = None  # set from the opening message
+        self.user = user
         self.decoder = FrameDecoder()
         self.inbox: list = []
-
-    def _who(self) -> str:
-        return "a connecting user" if self.name is None else f"user {self.name}"
 
     def read_message(self):
         """Wait until one decoded message is available, then return it."""
         while not self.inbox:
-            _await_readable([self.conn], self.users,
-                            f"{self._who()} sent nothing")
             try:
                 data = self.conn.recv(65536)
+            except TimeoutError as exc:
+                raise SessionFailure(
+                    f"user {self.user.name} sent nothing within "
+                    f"{SOCKET_TIMEOUT_S:g} s") from exc
             except OSError as exc:
-                raise self._dropped() from exc
+                raise self.user.failure() from exc
             if not data:
-                raise self._dropped()
+                raise self.user.failure()
             try:
                 self.inbox.extend(self.decoder.feed(data))
             except WireError as exc:
-                raise SessionFailure(
-                    f"{self._who()} sent a malformed frame: {exc}") from exc
+                raise SessionFailure(f"user {self.user.name} sent a "
+                                     f"malformed frame: {exc}") from exc
         return self.inbox.pop(0)
 
     def send(self, messages: list) -> None:
         try:
             data = b"".join(map(encode_message, messages))
         except WireError as exc:
-            raise SessionFailure(f"cannot send to {self._who()}: "
+            raise SessionFailure(f"cannot send to user {self.user.name}: "
                                  f"{exc}") from exc
         try:
             self.conn.sendall(data)
         except OSError as exc:
-            raise self._dropped() from exc
-
-    def _dropped(self) -> SessionFailure:
-        """The error for a connection its user closed or broke."""
-        if self.name is None:
-            # Only the opening message names the user; the process that
-            # ends is the one that dropped, and the wait raises its failure.
-            _await_readable([], self.users, "a user closed its connection "
-                            "before its opening message and kept running")
-        return self.users[self.name].failure()
+            raise self.user.failure() from exc
 
 
 def run_networked(config: SessionConfig) -> SessionReport:
@@ -685,36 +674,30 @@ def run_networked(config: SessionConfig) -> SessionReport:
     # the children only run socket I/O plus small-array bookkeeping.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    server = socket.create_server(("127.0.0.1", 0))
+    servers: dict = {}
     users: dict = {}
-    accepted: list = []
+    links: dict = {}
     failed = True
     try:
-        port = server.getsockname()[1]
+        # Every user process starts before any connection is accepted, so
+        # no child inherits the parent's end of a link: each link's ends
+        # live only in the parent and in its own user's process, and
+        # either side reads EOF as soon as the other ends.
         for name in USERS:
-            users[name] = _UserProcess(ctx, name, config, port)
-        links: dict = {}
-        for _ in USERS:
-            _await_readable([server], users, "no user connected")
-            conn, _addr = server.accept()
-            link = _UserConnection(conn, users)
-            accepted.append(link)
-            first = link.read_message()
-            if not isinstance(first, CompensatorState):
-                raise SessionFailure("user connection must open with its "
-                                     "compensator state")
-            if first.user not in users or first.user in links:
-                raise SessionFailure("both users must connect exactly once")
-            link.name = first.user
-            links[first.user] = link
-            # The serve loop reads the opening in fixed user order.
-            link.inbox.insert(0, first)
+            servers[name] = socket.create_server(("127.0.0.1", 0))
+            users[name] = _UserProcess(ctx, name, config,
+                                       servers[name].getsockname()[1])
+        for name in USERS:
+            _await_connection(servers[name], users, name)
+            conn, _addr = servers[name].accept()
+            links[name] = _UserConnection(conn, users[name])
         report = _serve(charlie, links)
         failed = False
     finally:
-        for link in accepted:
+        for link in links.values():
             link.conn.close()
-        server.close()
+        for server in servers.values():
+            server.close()
         for user in users.values():
             user.stop(failed)
     return report

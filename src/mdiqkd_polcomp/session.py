@@ -111,9 +111,9 @@ class SessionConfig:
         if self.bound_method not in ("analytic", "lp"):
             raise SessionError(f"bound_method must be 'analytic' or 'lp', "
                                f"got {self.bound_method!r}")
-        if not self.error_correction_efficiency >= 1.0:
-            raise SessionError("error_correction_efficiency must be >= 1, got "
-                               f"{self.error_correction_efficiency}")
+        if not 1.0 <= self.error_correction_efficiency < math.inf:
+            raise SessionError("error_correction_efficiency must be in [1, inf), "
+                               f"got {self.error_correction_efficiency}")
         if not isinstance(self.table, IntensityTable):
             raise SessionError("table must be an IntensityTable instance")
         if not isinstance(self.detector, DetectorParams):

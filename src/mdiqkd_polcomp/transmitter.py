@@ -38,6 +38,9 @@ _PHASE_STREAM = 0x2F
 # 2^-53, turns the top 53 bits of a word into a uniform double in [0, 1).
 _INV_2_53 = float(2.0 ** -53)
 
+# The decoy analysis takes e^(2 mu), which overflows beyond this mu.
+MAX_INTENSITY = math.log(np.finfo(float).max) / 2.0
+
 
 class TransmitterError(ValueError):
     """Raised for invalid transmitter configuration."""
@@ -63,6 +66,10 @@ class IntensityTable:
             raise TransmitterError(
                 "intensities must satisfy mu > nu > omega >= 0, got "
                 f"({self.mu}, {self.nu}, {self.omega})")
+        if not self.mu <= MAX_INTENSITY:
+            raise TransmitterError(
+                f"mu must be finite and at most {MAX_INTENSITY:.6g}, where "
+                f"e^(2 mu) overflows, got {self.mu}")
         probs = self.probabilities
         if min(probs) < 0.0:
             raise TransmitterError("intensity probabilities must be nonnegative")

@@ -59,6 +59,11 @@ def test_target_above_unit_efficiency_gain_is_rejected():
     {"target_gain": 0.0},
     {"target_gain": -1e-5},
     {"signal_intensity": 0.0},
+    # e^(2 mu) overflows, or mu is not a number.
+    {"signal_intensity": 356.0},
+    {"signal_intensity": 1e308},
+    {"signal_intensity": float("inf")},
+    {"signal_intensity": float("nan")},
 ])
 def test_invalid_fit_parameters_are_rejected(kwargs):
     with pytest.raises(CalibrationError):

@@ -75,6 +75,24 @@ def test_plan_domain_errors_exit_with_config_code(capsys):
     assert "p_hat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["--eps", "1e-200"], "n_min is not finite"),
+    (["--eps", "nan"], "epsilon must be in (0, inf)"),
+    (["--eps", "inf"], "epsilon must be in (0, inf)"),
+    (["--eps", "0.5", "--rate", "nan"], "rate must be in (0, inf)"),
+    (["--eps", "0.5", "--rate", "inf"], "rate must be in (0, inf)"),
+    (["--eps", "0.5", "--rate", "1e-305"], "t_min = n_min / rate is not"),
+])
+def test_plan_unusable_values_exit_with_config_code(capsys, tmp_path, argv,
+                                                    shown):
+    out = tmp_path / "plan"
+    assert main(["plan", "--p", "0.0009", "--delta", "0.3", *argv,
+                 "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert shown in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_plan_missing_flag_is_a_usage_error(capsys):
     assert main(["plan", "--p", "0.0009", "--eps", "0.5"]) == EXIT_USAGE
 
@@ -99,6 +117,14 @@ def test_calibrate_prints_a_pasteable_detector_section(capsys, tmp_path):
 def test_calibrate_unreachable_target_exits_with_config_code(capsys):
     assert main(["calibrate", "--target-gain", "0.9"]) == EXIT_CONFIG
     assert "reachable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["356", "1e308", "inf", "nan"])
+def test_calibrate_unusable_mu_exits_before_writing(capsys, tmp_path, mu):
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--mu", mu, "--out", str(out)]) == EXIT_CONFIG
+    assert "signal intensity mu must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +400,11 @@ def test_simulate_too_many_windows_exits_before_writing(tmp_path, capsys,
     ([], "[controller]\nthreshold = nan\n", "threshold"),
     ([], "[controller]\nmax_step = inf\n", "max_step"),
     ([], "[controller]\nbest_tolerance = nan\n", "best_tolerance"),
+    ([], "[intensities]\nmu = inf\n", "mu"),
+    ([], "[intensities]\nmu = 356\n", "mu"),
+    ([], "[intensities]\nmu = 1e200\n", "mu"),
+    ([], "[session]\nerror_correction_efficiency = inf\n",
+     "error_correction_efficiency"),
 ])
 def test_simulate_unusable_value_exits_before_writing(tmp_path, capsys, argv,
                                                       text, field):
@@ -442,9 +473,12 @@ def test_sweep_linspace_grid(tmp_path, small_config, capsys):
      "--num", "1"],
     ["sweep", "--param", "alpha", "--values", "a,b"],
     ["sweep", "--param", "gamma", "--values", "0.3"],
+    ["sweep", "--param", "alpha", "--values", ","],
 ])
-def test_sweep_usage_errors(argv, capsys):
-    assert main(argv) == EXIT_USAGE
+def test_sweep_usage_errors(argv, capsys, tmp_path):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,15 @@ def test_plan_collection_rate_scaling():
     dict(p_hat=9e-4, epsilon=0.5, delta=0.0),
     dict(p_hat=9e-4, epsilon=0.5, delta=1.0),
     dict(p_hat=9e-4, epsilon=0.5, delta=0.3, rate=0.0),
+    dict(p_hat=9e-4, epsilon=math.nan, delta=0.3),
+    dict(p_hat=9e-4, epsilon=math.inf, delta=0.3),
+    # p_hat eps^2 underflows to 0, or n_min overflows.
+    dict(p_hat=9e-4, epsilon=1e-200, delta=0.3),
+    dict(p_hat=9e-4, epsilon=1e-160, delta=0.3),
+    dict(p_hat=9e-4, epsilon=0.5, delta=0.3, rate=math.nan),
+    dict(p_hat=9e-4, epsilon=0.5, delta=0.3, rate=math.inf),
+    # A finite n_min over a tiny rate overflows.
+    dict(p_hat=1e-300, epsilon=0.5, delta=0.3, rate=1e-300),
 ])
 def test_plan_collection_rejects_bad_inputs(kwargs):
     with pytest.raises(comp.CompensationError):

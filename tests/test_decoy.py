@@ -535,6 +535,10 @@ def test_key_rate_validation():
         key_rate(0.04, -1e-4, 0.1, 3e-5, 0.038)
     with pytest.raises(DecoyError):
         key_rate(0.04, 8e-4, 0.1, 3e-5, 0.038, f=0.9)
+    # inf * 0 would make the rate NaN.
+    for f in (math.inf, math.nan):
+        with pytest.raises(DecoyError, match=r"must be in \[1, inf\)"):
+            key_rate(0.04, 8e-4, 0.1, 3e-5, 0.0, f=f)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import signal
 import socket
 import time
 from collections import Counter
@@ -54,18 +55,52 @@ def session_error(config: SessionConfig) -> tuple:
     return str(info.value), time.perf_counter() - start
 
 
-def test_user_dying_before_connecting_is_named(monkeypatch):
+@pytest.mark.parametrize("user", USERS)
+def test_user_dying_before_connecting_is_named(monkeypatch, user):
     init = nodes.UserNode.__init__
 
     def failing_init(self, name, config):
-        if name == "bob":
-            raise RuntimeError("injected: bob cannot start")
+        if name == user:
+            raise RuntimeError(f"injected: {user} cannot start")
         init(self, name, config)
 
     monkeypatch.setattr(nodes.UserNode, "__init__", failing_init)
     message, wall = session_error(networked_config())
-    assert "user bob process exited with code 1" in message
-    assert "RuntimeError: injected: bob cannot start" in message
+    assert f"user {user} process exited with code 1" in message
+    assert f"RuntimeError: injected: {user} cannot start" in message
+    assert wall < FAIL_FAST_S
+
+
+@pytest.mark.parametrize("user", USERS)
+def test_user_dying_between_connecting_and_its_opening_is_named(monkeypatch,
+                                                                user):
+    initial_message = nodes.UserNode.initial_message
+
+    # A user process builds its opening once it is connected.
+    def failing_opening(self):
+        if self.name == user:
+            raise RuntimeError(f"injected: {user} ends before its opening")
+        return initial_message(self)
+
+    monkeypatch.setattr(nodes.UserNode, "initial_message", failing_opening)
+    message, wall = session_error(networked_config())
+    assert f"user {user} process exited with code 1" in message
+    assert f"RuntimeError: injected: {user} ends before its opening" in message
+    assert wall < FAIL_FAST_S
+
+
+def test_user_killed_mid_session_is_named(monkeypatch):
+    handle = nodes.UserNode.handle
+
+    def dying_handle(self, message):
+        if (self.name == "alice" and isinstance(message, MisalignmentAnnouncement)
+                and message.window == 2):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return handle(self, message)
+
+    monkeypatch.setattr(nodes.UserNode, "handle", dying_handle)
+    message, wall = session_error(networked_config())
+    assert message.startswith("user alice process exited with code -9")
     assert wall < FAIL_FAST_S
 
 

@@ -76,6 +76,10 @@ def small_config(**overrides) -> SessionConfig:
      "initial_misalignment_a must be finite"),
     (dict(initial_misalignment_b=math.inf),
      "initial_misalignment_b must be finite"),
+    (dict(error_correction_efficiency=math.inf),
+     r"error_correction_efficiency must be in \[1, inf\)"),
+    (dict(error_correction_efficiency=math.nan),
+     r"error_correction_efficiency must be in \[1, inf\)"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(SessionError, match=match):

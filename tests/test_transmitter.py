@@ -110,6 +110,18 @@ def test_intensity_table_validation():
             tx.IntensityTable(**{field: math.nan})
 
 
+def test_intensity_table_refuses_a_mu_whose_e_2mu_overflows():
+    # The decoy analysis takes e^(2 mu): finite up to MAX_INTENSITY.
+    assert math.isfinite(math.exp(2.0 * tx.MAX_INTENSITY))
+    assert tx.IntensityTable(mu=tx.MAX_INTENSITY).mu == tx.MAX_INTENSITY
+    above = math.nextafter(tx.MAX_INTENSITY, math.inf)
+    with pytest.raises(OverflowError):
+        math.exp(2.0 * above)
+    for mu in (above, 356.0, 1e200, math.inf):
+        with pytest.raises(tx.TransmitterError, match="mu must be finite"):
+            tx.IntensityTable(mu=mu)
+
+
 def test_decisions_are_deterministic_per_seed_and_slot():
     table = tx.reference_intensity_table()
     one = tx.draw_classes(9, np.array([123_456]), table)

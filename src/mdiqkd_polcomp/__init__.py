@@ -21,9 +21,8 @@ from .bsm import (BasisSchedule, BsmError, DetectorParams, monte_carlo_pair,
                   pair_gain_and_qber)
 from .calibrate import CalibrationError, CalibrationResult, fit_efficiency
 from .compensation import (CollectionPlan, CompensationError,
-                           ControllerConfig, EstimatorWindow,
-                           MisalignmentEstimate, chernoff_failure_bound,
-                           estimate_theta, plan_collection)
+                           ControllerConfig, MisalignmentEstimate,
+                           chernoff_failure_bound, plan_collection)
 from .config import (ConfigError, available_profiles, config_to_ini,
                      load_profile, parse_config_text, read_config_file)
 from .decoy import (DecoyError, GainGrid, KeyRateReport, TallySet,
@@ -53,8 +52,7 @@ __all__ = [
     "pair_gain_and_qber",
     # compensation loop
     "CollectionPlan", "CompensationError", "ControllerConfig",
-    "EstimatorWindow", "MisalignmentEstimate", "chernoff_failure_bound",
-    "estimate_theta", "plan_collection",
+    "MisalignmentEstimate", "chernoff_failure_bound", "plan_collection",
     # decoy-state analysis
     "DecoyError", "GainGrid", "KeyRateReport", "TallySet", "YieldBounds",
     "bound_y11_e11", "key_rate", "load_reference_half",

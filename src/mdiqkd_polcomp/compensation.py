@@ -27,49 +27,18 @@ import math
 from dataclasses import dataclass, field
 
 from .polarization import SqueezerBank
-from .transmitter import BASIS_LABELS
 
 
 class CompensationError(ValueError):
     """Raised for invalid estimator or controller inputs."""
 
 
-@dataclass
-class StateCounts:
-    """Wrong-arm singles and the reference maximum for one sender state."""
-
-    n_err: float = 0.0
-    n_max: float = 0.0
-
-
-@dataclass
-class EstimatorWindow:
-    """Counts collected over one estimation window, keyed by basis and state."""
-
-    duration: float
-    counts: dict = field(default_factory=dict)
-
-    def add(self, basis: str, label: str, n_err: float, n_max: float) -> None:
-        if basis not in BASIS_LABELS:
-            raise CompensationError(f"unknown basis {basis!r}")
-        if n_err < 0 or n_max < 0:
-            raise CompensationError("counts must be nonnegative")
-        entry = self.counts.setdefault(basis, {}).setdefault(label, StateCounts())
-        entry.n_err += n_err
-        entry.n_max += n_max
-
-    def pooled(self, basis: str) -> tuple[float, float]:
-        return pool_counts([(e.n_err, e.n_max)
-                            for e in self.counts.get(basis, {}).values()])
-
-
 def pool_counts(states) -> tuple[float, float]:
     """One basis' pooled (N_err, N_max) from its states' (n_err, n_max).
 
-    The states are summed in the order given, each first added to 0.0 as
-    in a fresh StateCounts, so the sums are floats whatever the counts'
-    types; an empty basis pools to (0, 0).  EstimatorWindow.pooled and
-    the measurement node, which keeps no window object, both pool here.
+    The states are summed in the order given, each first added to 0.0,
+    so the sums are floats whatever the counts' types; an empty basis
+    pools to (0, 0).
     """
     n_err = n_max = 0
     for state_err, state_max in states:
@@ -85,9 +54,6 @@ class MisalignmentEstimate:
     theta_z: float | None
     theta_x: float | None
 
-    def theta(self, basis: str) -> float | None:
-        return self.theta_z if basis == "Z" else self.theta_x
-
     def error_signal(self) -> float | None:
         """Blend of the available angles; (theta_z + theta_x) / 2 when both exist."""
         available = [t for t in (self.theta_z, self.theta_x) if t is not None]
@@ -102,12 +68,6 @@ def pooled_angle(n_err: float, n_max: float) -> float | None:
         return None
     ratio = min(max(n_err / n_max, 0.0), 1.0)
     return math.asin(math.sqrt(ratio))
-
-
-def estimate_theta(window: EstimatorWindow) -> MisalignmentEstimate:
-    """Pool counts per basis and convert the ratio to an angle."""
-    return MisalignmentEstimate(theta_z=pooled_angle(*window.pooled("Z")),
-                                theta_x=pooled_angle(*window.pooled("X")))
 
 
 @dataclass

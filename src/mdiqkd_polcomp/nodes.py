@@ -1,38 +1,31 @@
 """Protocol endpoints and transports for a compensation session.
 
 Three nodes take part: two user nodes (alice, bob) that own their
-compensator hardware and feedback state, and the measurement node that
-owns the fiber drift, samples detections, and announces per-window
-misalignment estimates.  Both transports run one serve loop over the
-same immutable message objects: in-process, each user node takes them
-as they are; networked, each user runs in its own process and they
-cross TCP sockets as length-prefixed JSON frames.  All
-randomness is consumed at the measurement node, so both transports
-produce identical reports for identical configurations.
+compensator hardware and feedback state, and the measurement node.
+Both transports run one serve loop over the same immutable message
+objects: in-process, each user node takes them as they are; networked,
+each user runs in its own process and they cross TCP sockets as
+length-prefixed JSON frames.
 
-Per window the exchange is: each user sends its compensator state, the
-measurement node simulates the window under the resulting channels and
-replies with a misalignment announcement, and each user runs its local
-control step, which becomes the next window's compensator state.  The
-window's bookkeeping (tallies, conservation classes) stays at the
-measurement node, which writes it into the session report.
+Protocol: per window each user sends its compensator state, and the
+measurement node (CharlieNode) checks it, replies with a misalignment
+announcement estimated from rejected single clicks, and keeps the
+window's tallies, conservation check and trace for the session report.
+Each user's control step becomes its next compensator state.
 
-Compensators change rarely: the controller acts at most once per Z/X
-window pair, and in a 4 h reference session both users' compensator
-states hold for about ten windows at a time.  The measurement node
-therefore does its compensator-dependent work once per change.  A user
-node hands over one retardance tuple for as long as its bank holds the
-same bytes, and the measurement node checks that tuple, keys it and
-builds its squeezer unitary once.  In aggregate sampling the node steps
-the open-loop drift ahead and evaluates the optics kernel on a stack of
-upcoming windows under the present squeezers, which lasts until a
-compensator changes (see CharlieNode._class_probabilities).
+Physics: the fiber drift and the detections are the simulator's, kept
+beside the measurement node in WindowPhysics.  All randomness is drawn
+there, so both transports produce identical reports for identical
+configurations.  Compensators change rarely, about every ten windows in
+a 4 h reference session, so the node rebuilds a squeezer unitary only
+when its retardances' bytes change, and in aggregate sampling the
+physics evaluates the optics kernel on a stack of upcoming windows that
+lasts until a squeezer changes (WindowPhysics._class_probabilities).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import multiprocessing.connection
 import socket
@@ -96,8 +89,8 @@ class _Stack(NamedTuple):
     """Class probabilities of consecutive aggregate windows, from one call.
 
     start: index of the first window.
-    keys: alice's and bob's retardance keys of the squeezers the stack
-      was computed under.
+    keys: the bytes of alice's and bob's squeezer unitaries that the
+      stack was computed under.
     probabilities: (depth, 12, 12, 4) class probabilities, one entry per
       window from `start` on.
     """
@@ -119,21 +112,12 @@ class UserNode:
         self.controller = ControllerState(n_squeezers=len(self.bank))
         self.last_theta = {"Z": None, "X": None}
         self._fresh = {"Z": False, "X": False}
-        # The bank's bytes and the retardance tuple last handed over.
-        self._sent: tuple = (None, None)
         self.finished = False
 
     def _compensator_state(self, window: int, triggered: bool) -> CompensatorState:
-        # One tuple object for as long as the bank holds the same bytes,
-        # however they changed, so the measurement node can tell an
-        # unchanged compensator by identity.  Bytes, not ==, because
-        # -0.0 == 0.0 and their squeezer unitaries differ.
-        raw = self.bank.retardances.tobytes()
-        if raw != self._sent[0]:
-            self._sent = (raw, tuple(self.bank.retardances.tolist()))
+        retardances = tuple(self.bank.retardances.tolist())
         return CompensatorState(user=self.name, window=window,
-                                retardances=self._sent[1],
-                                triggered=triggered)
+                                retardances=retardances, triggered=triggered)
 
     def initial_message(self) -> CompensatorState:
         return self._compensator_state(0, False)
@@ -174,23 +158,26 @@ class UserNode:
 def _check_retardances(message: CompensatorState) -> None:
     """Reject a compensator state the squeezer bank could not hold."""
     values = message.retardances
-    where = f"{message.user}'s compensator state for window {message.window}"
     if len(values) != len(DEFAULT_SQUEEZER_AXES):
         raise SessionFailure(
-            f"{where} holds {values!r}, expected "
+            f"{message.user}'s compensator state for window "
+            f"{message.window} holds {values!r}, expected "
             f"{len(DEFAULT_SQUEEZER_AXES)} retardances")
     for value in values:
-        # bool is an int subclass, so a JSON true would pass as 1.
+        # bool is an int subclass, so a JSON true would pass as 1.  The
+        # one comparison also refuses NaN, infinities and integers of
+        # any size, which it compares exactly instead of as floats.
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (math.isfinite(value)
-                        and abs(value) <= RETARDANCE_LIMIT)):
+                or not abs(value) <= RETARDANCE_LIMIT):
             raise SessionFailure(
-                f"{where} holds retardance {value!r}, outside the finite "
-                f"range +/-{RETARDANCE_LIMIT:g}")
+                f"{message.user}'s compensator state for window "
+                f"{message.window} holds retardance {value!r}, outside the "
+                f"finite range +/-{RETARDANCE_LIMIT:g}")
 
 
-class CharlieNode:
-    """The measurement node: drift, detection sampling, and announcements."""
+class WindowPhysics:
+    """Both users' drift walks and the detections of every window, each
+    window run once and in schedule order, with no node needed."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -209,85 +196,17 @@ class CharlieNode:
                                 initial=init_b),
         }
         self.rng = np.random.default_rng([config.seed, _STREAM_SAMPLER])
-        self.trackers = {user: ReferenceTracker(
-            smoothing=config.reference_smoothing) for user in USERS}
-        self.tallies = {"Z": TallySet(), "X": TallySet()}
-        # user -> (retardance key, read-only squeezer unitary)
-        self._squeezers: dict = {}
-        # user -> the retardance tuple last checked and keyed
-        self._retardances: dict = {}
         # Drift unitaries of the windows after the current one, stepped
         # ahead for a kernel stack, in window order; see
         # _class_probabilities.
         self._drift_ahead: deque = deque()
         self._stack: _Stack | None = None
-        self.traces: list = []
-        # The last window's trace fields, awaiting the users' trigger flags.
-        self._last_trace: dict | None = None
-        self._pending_states: dict = {}
-        self._next_window = 0
-        self.finished = False
-        self.report: SessionReport | None = None
 
-    # -- protocol surface --------------------------------------------------
-
-    def handle(self, message) -> list:
-        """React to one message from a user; returns (dest, message) pairs."""
-        if not isinstance(message, CompensatorState):
-            raise SessionFailure(
-                f"measurement node cannot handle {type(message).__name__}")
-        if message.window != self._next_window:
-            raise SessionFailure(
-                f"{message.user} sent compensator state for window "
-                f"{message.window}, expected {self._next_window}")
-        if message.user in self._pending_states:
-            raise SessionFailure(
-                f"duplicate compensator state from {message.user} for "
-                f"window {message.window}")
-        self._squeezer(message)
-        self._pending_states[message.user] = message
-        if set(self._pending_states) != set(USERS):
-            return []
-        states = self._pending_states
-        self._pending_states = {}
-        if self._last_trace is not None:
-            # A window-w state carries the user's reaction to window w - 1.
-            self.traces.append(WindowTrace(
-                triggered={user: states[user].triggered for user in USERS},
-                **self._last_trace))
-        if self._next_window >= len(self.windows):
-            self._finish(states)
-            return [(user, SessionEnd(reason="schedule complete"))
-                    for user in USERS]
-        out = self._run_window(self._next_window, states)
-        self._next_window += 1
-        return out
-
-    # -- physics -----------------------------------------------------------
-
-    def _squeezer(self, state: CompensatorState) -> np.ndarray:
-        """The user's squeezer unitary, after checking its retardances.
-
-        A retardance tuple is checked and keyed once: a later state that
-        carries the same (immutable) tuple object reuses the result.  The
-        unitary is rebuilt only when the key, the retardances' bytes,
-        changes.
-        """
-        if self._retardances.get(state.user) is not state.retardances:
-            _check_retardances(state)
-            key = _RETARDANCE_KEY.pack(*state.retardances)
-            cached = self._squeezers.get(state.user)
-            if cached is None or cached[0] != key:
-                unitary = squeezer_unitary(state.retardances)
-                unitary.flags.writeable = False
-                self._squeezers[state.user] = (key, unitary)
-            self._retardances[state.user] = state.retardances
-        return self._squeezers[state.user][1]
-
-    def _run_window(self, index: int, states: dict) -> list:
-        t_start, dt, meas_basis = self.windows[index]
+    def run(self, index: int, squeezers: dict) -> tuple:
+        """Window `index` under `squeezers` (user -> unitary): its
+        engine.WindowRoutes and each user's true (theta_Z, theta_X)."""
+        _, dt, meas_basis = self.windows[index]
         n_slots = self.config.slots_in(dt)
-        squeezers = {user: self._squeezer(states[user]) for user in USERS}
         drift = (self._drift_ahead.popleft() if self._drift_ahead else
                  {user: self.drift[user].step(dt) for user in USERS})
         channels = {user: drift[user] @ squeezers[user] for user in USERS}
@@ -300,41 +219,8 @@ class CharlieNode:
                 n_slots, self.classes, class_probs, self.rng)
             routes = engine.route_window(self.classes, meas_basis,
                                          outcome_counts)
-        self.tallies[meas_basis].add(routes.tallies)
-        counts = routes.conservation
-        total = sum(counts.values())
-        if total != n_slots:
-            raise SessionFailure(
-                f"window {index} accounting violation: conservation classes "
-                f"sum to {total}, expected {n_slots}")
-
-        singles = dict(zip(USERS, (routes.singles_a, routes.singles_b)))
-        est_theta = {}
-        estimator_counts = {}
-        out = []
-        for user in USERS:
-            # The measured basis' states against their reference totals,
-            # pooled as an EstimatorWindow of this window would pool them.
-            update = self.trackers[user].update
-            pooled = pool_counts([
-                (n_wrong, update((meas_basis, label), n_total))
-                for label, (n_wrong, n_total)
-                in sorted(singles[user].items())])
-            theta = pooled_angle(*pooled)
-            est_theta[user] = theta
-            estimator_counts[user] = pooled
-            out.append((user, MisalignmentAnnouncement(
-                user=user, window=index,
-                theta_z=theta if meas_basis == "Z" else None,
-                theta_x=theta if meas_basis == "X" else None)))
-
-        true_theta = {user: misalignment_angles(channels[user])
-                      for user in USERS}
-        self._last_trace = dict(
-            index=index, t_start=t_start, duration=dt, meas_basis=meas_basis,
-            n_slots=n_slots, est_theta=est_theta, true_theta=true_theta,
-            estimator_counts=estimator_counts, counts=counts)
-        return out
+        return routes, {user: misalignment_angles(channels[user])
+                        for user in USERS}
 
     def _class_probabilities(self, index: int, channels: dict,
                              squeezers: dict) -> np.ndarray:
@@ -342,11 +228,12 @@ class CharlieNode:
 
         One kernel call evaluates a stack of upcoming windows under the
         present squeezers, and each later window takes its entry while
-        both users' retardance keys still match the stack's.  A window
-        that the stack does not cover, or whose compensators changed,
-        starts a new stack.  Its depth starts at 2, because a controller
-        acts only after a coherent estimate, i.e. after an X window, so a
-        Z window always shares its squeezers with the next one.  The
+        the bytes of both users' squeezer unitaries still match the
+        stack's.  A window that the stack does not cover, or whose
+        squeezers changed, starts a new stack.  Its depth starts at 2,
+        because a controller acts only after a coherent estimate, i.e.
+        after an X window, so a Z window always shares its squeezers with
+        the next one.  The
         depth doubles, up to MAX_STACK, after a stack was used to its end
         and drops back to 2 after a miss.  For the windows after this
         one the stack needs their drift: each walk is stepped once per
@@ -356,7 +243,7 @@ class CharlieNode:
         them early changes no value, and the kernel's stacked results
         equal its single-window ones bit for bit.
         """
-        keys = tuple(self._squeezers[user][0] for user in USERS)
+        keys = tuple(squeezers[user].tobytes() for user in USERS)
         stack = self._stack
         depth = 2
         if stack is not None:
@@ -460,6 +347,116 @@ class CharlieNode:
                 f"window {index}: sifted slot count {n_sifted} "
                 f"disagrees with accounting ({key_candidates})")
         return routes
+
+
+class CharlieNode:
+    """The measurement node: message checks, bookkeeping and announcements."""
+
+    def __init__(self, config: SessionConfig):
+        self.config = config
+        self.physics = WindowPhysics(config)
+        self.trackers = {user: ReferenceTracker(
+            smoothing=config.reference_smoothing) for user in USERS}
+        self.tallies = {"Z": TallySet(), "X": TallySet()}
+        # user -> (retardance key, read-only squeezer unitary)
+        self._squeezers: dict = {}
+        self.traces: list = []
+        # The last window's trace fields, awaiting the users' trigger flags.
+        self._last_trace: dict | None = None
+        self._pending_states: dict = {}
+        self._next_window = 0
+        self.finished = False
+        self.report: SessionReport | None = None
+
+    # -- protocol surface --------------------------------------------------
+
+    def handle(self, message) -> list:
+        """React to one message from a user; returns (dest, message) pairs."""
+        if not isinstance(message, CompensatorState):
+            raise SessionFailure(
+                f"measurement node cannot handle {type(message).__name__}")
+        if message.window != self._next_window:
+            raise SessionFailure(
+                f"{message.user} sent compensator state for window "
+                f"{message.window}, expected {self._next_window}")
+        if message.user in self._pending_states:
+            raise SessionFailure(
+                f"duplicate compensator state from {message.user} for "
+                f"window {message.window}")
+        self._squeezer(message)
+        self._pending_states[message.user] = message
+        if set(self._pending_states) != set(USERS):
+            return []
+        states = self._pending_states
+        self._pending_states = {}
+        if self._last_trace is not None:
+            # A window-w state carries the user's reaction to window w - 1.
+            self.traces.append(WindowTrace(
+                triggered={user: states[user].triggered for user in USERS},
+                **self._last_trace))
+        if self._next_window >= len(self.physics.windows):
+            self._finish(states)
+            return [(user, SessionEnd(reason="schedule complete"))
+                    for user in USERS]
+        out = self._run_window(self._next_window, states)
+        self._next_window += 1
+        return out
+
+    def _squeezer(self, state: CompensatorState) -> np.ndarray:
+        """The user's squeezer unitary, after checking its retardances.
+
+        The unitary is rebuilt only when the key, the retardances'
+        bytes, changes: -0.0 and 0.0 are equal numbers whose unitaries
+        can differ in the sign of a zero.
+        """
+        _check_retardances(state)
+        key = _RETARDANCE_KEY.pack(*state.retardances)
+        cached = self._squeezers.get(state.user)
+        if cached is None or cached[0] != key:
+            unitary = squeezer_unitary(state.retardances)
+            unitary.flags.writeable = False
+            self._squeezers[state.user] = cached = (key, unitary)
+        return cached[1]
+
+    def _run_window(self, index: int, states: dict) -> list:
+        t_start, dt, meas_basis = self.physics.windows[index]
+        n_slots = self.config.slots_in(dt)
+        # handle() checked each state and left its unitary in the cache.
+        routes, true_theta = self.physics.run(
+            index, {user: self._squeezers[user][1] for user in USERS})
+        self.tallies[meas_basis].add(routes.tallies)
+        counts = routes.conservation
+        total = sum(counts.values())
+        if total != n_slots:
+            raise SessionFailure(
+                f"window {index} accounting violation: conservation classes "
+                f"sum to {total}, expected {n_slots}")
+
+        singles = dict(zip(USERS, (routes.singles_a, routes.singles_b)))
+        est_theta = {}
+        estimator_counts = {}
+        out = []
+        for user in USERS:
+            # The measured basis' states against their reference totals,
+            # pooled in label order.
+            update = self.trackers[user].update
+            pooled = pool_counts([
+                (n_wrong, update((meas_basis, label), n_total))
+                for label, (n_wrong, n_total)
+                in sorted(singles[user].items())])
+            theta = pooled_angle(*pooled)
+            est_theta[user] = theta
+            estimator_counts[user] = pooled
+            out.append((user, MisalignmentAnnouncement(
+                user=user, window=index,
+                theta_z=theta if meas_basis == "Z" else None,
+                theta_x=theta if meas_basis == "X" else None)))
+
+        self._last_trace = dict(
+            index=index, t_start=t_start, duration=dt, meas_basis=meas_basis,
+            n_slots=n_slots, est_theta=est_theta, true_theta=true_theta,
+            estimator_counts=estimator_counts, counts=counts)
+        return out
 
     # -- completion ----------------------------------------------------------
 

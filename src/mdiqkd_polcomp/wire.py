@@ -7,7 +7,8 @@ that a given message always maps to the same bytes.  Only the networked
 transport's sockets carry frames; in-process, the message objects,
 frozen dataclasses of str, int, float, bool, None and float tuples,
 pass as they are.  NaN and infinities are not JSON: neither the
-encoder nor the decoder accepts them.
+encoder nor the decoder accepts them, nor a literal such as 1e999 that
+overflows a float.
 
 A session sends three message types.  Per window each user sends one
 compensator state, which stands in for the physical light path in a
@@ -25,6 +26,7 @@ the stream positioned at the next frame (resynchronization).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,7 +97,15 @@ def _reject_constant(token: str):
     raise WireError(f"non-finite number {token} is not JSON")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        _reject_constant(token)
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                            parse_float=_finite_float)
 
 
 def encode_message(message) -> bytes:
@@ -164,7 +174,9 @@ class FrameDecoder:
             del self._buffer[:HEADER.size + length]
             try:
                 payload = _DECODER.decode(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except WireError:
+                raise
+            except ValueError as exc:  # also an int of too many digits
                 raise WireError(f"malformed frame body: {exc}") from exc
             self._ready.append(decode_payload(payload))
         ready, self._ready = self._ready, []

@@ -16,9 +16,9 @@ import pytest
 from mdiqkd_polcomp.bsm import DetectorParams, monte_carlo_pair, \
     pair_gain_and_qber
 from mdiqkd_polcomp.cli import EXIT_OK, main
-from mdiqkd_polcomp.compensation import (EstimatorWindow,
-                                         chernoff_failure_bound,
-                                         estimate_theta, plan_collection)
+from mdiqkd_polcomp.compensation import (chernoff_failure_bound,
+                                         plan_collection, pool_counts,
+                                         pooled_angle)
 from mdiqkd_polcomp.config import load_profile
 from mdiqkd_polcomp.decoy import (DecoyError, analytic_e11_upper,
                                   analytic_y11_lower, forward_gains,
@@ -292,13 +292,11 @@ def test_criterion_7_estimator_invariants(capsys):
         for basis, truth in zip(("Z", "X"), theta_true):
             estimates = []
             for _ in range(400):
-                window = EstimatorWindow(duration=15.0)
+                # Both of the basis' states, each with half the singles.
                 half = n_singles // 2
-                for label, k in zip(
-                        ("H", "V") if basis == "Z" else ("D", "A"),
-                        rng.binomial(half, wrong_prob[basis], size=2)):
-                    window.add(basis, label, float(k), float(half))
-                estimates.append(estimate_theta(window).theta(basis))
+                estimates.append(pooled_angle(*pool_counts(
+                    (float(k), float(half))
+                    for k in rng.binomial(half, wrong_prob[basis], size=2))))
             worst_bias = max(worst_bias,
                              abs(float(np.mean(estimates)) - truth))
     # Zero misalignment in both bases implies the identity channel.

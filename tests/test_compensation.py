@@ -73,53 +73,47 @@ def test_chernoff_coverage_not_violated():
 # Estimator
 # ---------------------------------------------------------------------------
 
-def _window(entries):
-    window = comp.EstimatorWindow(duration=15.0)
-    for basis, label, n_err, n_max in entries:
-        window.add(basis, label, n_err, n_max)
-    return window
+def _estimate(entries):
+    """Both bases' angles from (basis, label, n_err, n_max) entries, each
+    basis' states pooled in the order given."""
+    return comp.MisalignmentEstimate(*(
+        comp.pooled_angle(*comp.pool_counts(
+            (n_err, n_max) for entry_basis, _, n_err, n_max in entries
+            if entry_basis == basis))
+        for basis in ("Z", "X")))
 
 
 def test_estimate_published_precision_point():
-    window = _window([("Z", "H", 9, 10_000)])
-    est = comp.estimate_theta(window)
+    est = _estimate([("Z", "H", 9, 10_000)])
     assert est.theta_z == pytest.approx(math.asin(math.sqrt(9 / 10_000)), abs=1e-12)
     assert est.theta_z == pytest.approx(0.0300, abs=5e-5)
 
 
 def test_estimate_zero_errors_gives_zero_angle():
-    est = comp.estimate_theta(_window([("Z", "H", 0, 5000), ("X", "D", 0, 5000)]))
+    est = _estimate([("Z", "H", 0, 5000), ("X", "D", 0, 5000)])
     assert est.theta_z == 0.0
     assert est.theta_x == 0.0
 
 
 def test_estimate_pools_before_transform():
-    est = comp.estimate_theta(_window([("Z", "H", 4, 1000), ("Z", "V", 5, 9000)]))
+    est = _estimate([("Z", "H", 4, 1000), ("Z", "V", 5, 9000)])
     assert est.theta_z == pytest.approx(math.asin(math.sqrt(9 / 10_000)), abs=1e-12)
 
 
 def test_estimate_unavailable_basis_is_none():
-    est = comp.estimate_theta(_window([("Z", "H", 3, 1000)]))
+    est = _estimate([("Z", "H", 3, 1000)])
     assert est.theta_x is None
     assert est.theta_z is not None
     assert est.error_signal() == pytest.approx(est.theta_z)
-    empty = comp.estimate_theta(comp.EstimatorWindow(duration=15.0))
+    empty = _estimate([])
     assert empty.theta_z is None and empty.theta_x is None
     assert empty.error_signal() is None
     assert not comp.should_trigger(empty, comp.ControllerConfig())
 
 
 def test_estimate_clips_excess_errors_to_quarter_turn():
-    est = comp.estimate_theta(_window([("Z", "H", 1200, 1000)]))
+    est = _estimate([("Z", "H", 1200, 1000)])
     assert est.theta_z == pytest.approx(math.pi / 2)
-
-
-def test_estimator_window_rejects_bad_entries():
-    window = comp.EstimatorWindow(duration=15.0)
-    with pytest.raises(comp.CompensationError):
-        window.add("Q", "H", 1, 10)
-    with pytest.raises(comp.CompensationError):
-        window.add("Z", "H", -1, 10)
 
 
 def test_estimator_matches_binomial_oracle():
@@ -132,7 +126,7 @@ def test_estimator_matches_binomial_oracle():
     estimates = []
     for _ in range(400):
         n_err = rng.binomial(n_max, p)
-        est = comp.estimate_theta(_window([("Z", "H", n_err, n_max)]))
+        est = _estimate([("Z", "H", n_err, n_max)])
         estimates.append(est.theta_z)
     estimates = np.asarray(estimates)
     assert abs(estimates.mean() - theta) < 0.01

@@ -15,6 +15,7 @@ import socket
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ def test_user_sending_a_garbage_frame_is_named(monkeypatch):
     monkeypatch.setattr(nodes, "encode_message", garbling_encode)
     message, wall = session_error(networked_config())
     assert message.startswith("user alice sent a malformed frame")
+    assert wall < FAIL_FAST_S
+
+
+def test_user_sending_an_integer_too_long_to_convert_is_named(monkeypatch):
+    # json raises a bare ValueError for it, not a JSONDecodeError.
+    body = ('{"retardances":[' + "9" * 5000 + ',0.0,0.0,0.0],"triggered":'
+            'false,"type":"compensator_state","user":"alice","v":1,'
+            '"window":3}').encode()
+
+    def overlong_encode(message):
+        if isinstance(message, CompensatorState) and message.window == 3:
+            return len(body).to_bytes(4, "big") + body
+        return encode_message(message)
+
+    monkeypatch.setattr(nodes, "encode_message", overlong_encode)
+    message, wall = session_error(networked_config())
+    assert message.startswith("user alice sent a malformed frame: malformed "
+                              "frame body: Exceeds the limit")
     assert wall < FAIL_FAST_S
 
 
@@ -421,12 +440,12 @@ def test_squeezer_unitary_is_rebuilt_only_when_retardances_change():
     charlie = nodes.CharlieNode(config)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nodes, "squeezer_unitary", counting_unitary)
-        for window in range(len(charlie.windows) + 1):
+        for window in range(len(charlie.physics.windows) + 1):
             for user in USERS:
                 charlie.handle(CompensatorState(
                     user=user, window=window,
                     retardances=retardances[user][window]))
-    assert charlie.finished and len(charlie.windows) == 6
+    assert charlie.finished and len(charlie.physics.windows) == 6
     assert built == [same, changed, changed, same]
     for _, unitary in charlie._squeezers.values():
         assert not unitary.flags.writeable
@@ -464,20 +483,12 @@ class _TwitchyUser(nodes.UserNode):
         return super().handle(message)
 
 
-def _spied_session(monkeypatch, config: SessionConfig, user_node=None):
-    """Run a session with `user_node` as the user class; return its
-    report, every window's retardances per user, every window's sampled
-    class probabilities and each kernel call's window count."""
-    retardances = {user: [] for user in USERS}
+def _spy_kernel(monkeypatch) -> tuple:
+    """Record every window's sampled class probabilities and each kernel
+    call's window count, in two lists that are returned."""
     sampled, depths = [], []
-    run_window = nodes.CharlieNode._run_window
     sample = nodes.engine.sample_window_counts
     grid = nodes.engine.class_probability_grid
-
-    def recording_window(self, index, states):
-        for user in USERS:
-            retardances[user].append(states[user].retardances)
-        return run_window(self, index, states)
 
     def spying_sample(n_slots, classes, class_probs, rng):
         sampled.append(class_probs.copy())
@@ -488,31 +499,70 @@ def _spied_session(monkeypatch, config: SessionConfig, user_node=None):
         depths.append(result.shape[0] if result.ndim == 4 else 1)
         return result
 
-    monkeypatch.setattr(nodes.CharlieNode, "_run_window", recording_window)
     monkeypatch.setattr(nodes.engine, "sample_window_counts", spying_sample)
     monkeypatch.setattr(nodes.engine, "class_probability_grid",
                         measuring_grid)
+    return sampled, depths
+
+
+def _spied_session(monkeypatch, config: SessionConfig, user_node=None):
+    """Run a session with `user_node` as the user class; return its
+    report, every window's retardances per user, every window's sampled
+    class probabilities and each kernel call's window count."""
+    retardances = {user: [] for user in USERS}
+    run_window = nodes.CharlieNode._run_window
+
+    def recording_window(self, index, states):
+        for user in USERS:
+            retardances[user].append(states[user].retardances)
+        return run_window(self, index, states)
+
+    monkeypatch.setattr(nodes.CharlieNode, "_run_window", recording_window)
+    sampled, depths = _spy_kernel(monkeypatch)
     if user_node is not None:
         monkeypatch.setattr(nodes, "UserNode", user_node)
     return run_session(config), retardances, sampled, depths
 
 
-def _assert_windows_match_replay(config, report, retardances, sampled):
+def _assert_windows_match_replay(config, traces, retardances, sampled):
     """Every sampled window's class probabilities and true angles equal
     the single-window kernel's on channels rebuilt from a replayed drift
     walk and each window's retardances."""
-    assert len(sampled) == len(report.windows)
-    charlie = nodes.CharlieNode(config)
+    assert len(sampled) == len(traces)
+    classes = nodes.engine.DecisionClasses.build(config.table)
     drift = _replayed_drift(config)
-    for trace, probs in zip(report.windows, sampled):
+    for trace, probs in zip(traces, sampled):
         channels = {user: drift[user].step(trace.duration) @ squeezer_unitary(
             retardances[user][trace.index]) for user in USERS}
         expected = nodes.engine.window_class_probabilities(
-            charlie.classes, channels["alice"], channels["bob"],
+            classes, channels["alice"], channels["bob"],
             trace.meas_basis, config.detector)
         assert probs.tobytes() == expected.tobytes()
         assert trace.true_theta == {user: misalignment_angles(channels[user])
                                     for user in USERS}
+
+
+def test_window_physics_runs_without_a_node(monkeypatch):
+    # Fixed squeezers, each window as new arrays: a stack is keyed on
+    # the unitaries' bytes, so it doubles to the cap, and the session's
+    # end cuts the last one short.
+    config = SessionConfig(duration_s=15.0 * 20, rep_rate_hz=1e5, seed=80,
+                           initial_misalignment_a=0.1,
+                           initial_misalignment_b=0.05)
+    held = {"alice": (0.1, -0.2, 0.3, 0.0), "bob": (0.0, 0.0, -1.2, -0.0)}
+    sampled, depths = _spy_kernel(monkeypatch)
+    physics = nodes.WindowPhysics(config)
+    traces = []
+    for index, (_, dt, basis) in enumerate(physics.windows):
+        routes, true_theta = physics.run(
+            index, {user: squeezer_unitary(held[user]) for user in USERS})
+        assert sum(routes.conservation.values()) == config.slots_in(dt)
+        traces.append(SimpleNamespace(index=index, duration=dt,
+                                      meas_basis=basis, true_theta=true_theta))
+    assert depths == [2, 4, 8, 6]
+    _assert_windows_match_replay(
+        config, traces, {user: [values] * len(traces)
+                         for user, values in held.items()}, sampled)
 
 
 @pytest.mark.parametrize("duration_s, overrides, twitchy, kernel_calls", [
@@ -540,7 +590,8 @@ def test_every_aggregate_window_samples_its_own_channels(
         # The compensators did change between every Z window and the next.
         assert all(retardances["alice"][w] != retardances["alice"][w + 1]
                    for w in range(0, len(report.windows), 2))
-    _assert_windows_match_replay(config, report, retardances, sampled)
+    _assert_windows_match_replay(config, report.windows, retardances,
+                                 sampled)
 
 
 class _ErraticUser(nodes.UserNode):
@@ -588,32 +639,14 @@ def test_window_stacks_follow_erratic_compensators(monkeypatch, mode,
     flipped = retardances["alice"][20], retardances["alice"][21]
     assert flipped[0] == flipped[1]
     assert [math.copysign(1.0, values[2]) for values in flipped] == [-1, 1]
-    _assert_windows_match_replay(config, report, retardances, sampled)
-
-
-def test_user_node_hands_over_one_tuple_per_bank_state():
-    user = nodes.UserNode("alice", SessionConfig(compensation_enabled=False))
-    first = user.initial_message().retardances
-
-    def next_state(window):
-        [state] = user.handle(MisalignmentAnnouncement(
-            user="alice", window=window, theta_z=0.1, theta_x=None))
-        return state.retardances
-
-    assert next_state(0) is first
-    user.bank.retardances[1] = -0.0  # equal to 0.0, but not in its bytes
-    flipped = next_state(1)
-    assert flipped == first and flipped is not first
-    assert next_state(2) is flipped
-    user.bank.retardances[1] = 0.25
-    assert next_state(3) == (0.0, 0.25, 0.0, 0.0)
+    _assert_windows_match_replay(config, report.windows, retardances,
+                                 sampled)
 
 
 @pytest.mark.parametrize("mode, checks", [
-    # In one process the users hand over the same tuple while their banks
-    # hold still: one check per user.  Decoded frames are new tuples:
-    # a check per state, four windows plus the closing one.
-    ("in-process", 2), ("networked", 10)])
+    # Every state is checked once, on both transports: per user, four
+    # windows plus the closing state.
+    ("in-process", 10), ("networked", 10)])
 def test_retardances_are_checked_once_per_tuple(monkeypatch, mode, checks):
     checked = []
     check = nodes._check_retardances

@@ -251,7 +251,9 @@ def test_charlie_rejects_wrong_window_and_duplicates():
     ((0.0, 0.0, 0.0, math.nan), "retardance nan"),
     ((0.0, 0.0, 0.0), "(0.0, 0.0, 0.0), expected 4 retardances"),
     ((0.0,) * 5, "expected 4 retardances"),
-], ids=["7", "inf", "-inf", "nan", "three", "five"])
+    # An integer too large for a float, which a JSON frame can carry.
+    ((0.0, 10 ** 400, 0.0, 0.0), f"retardance {10 ** 400}, outside"),
+], ids=["7", "inf", "-inf", "nan", "three", "five", "10**400"])
 def test_charlie_rejects_retardances_the_bank_cannot_hold(retardances, shown):
     charlie = CharlieNode(small_config())
     limit = RETARDANCE_LIMIT
@@ -346,6 +348,10 @@ def test_no_drift_aligned_start_stays_identically_aligned():
 def test_session_is_deterministic():
     config = small_config()
     a = canonical(run_session(config))
+    # Sessions of both backends in between leave nothing behind that a
+    # later session reads.
+    run_session(small_config(seed=11, initial_misalignment_a=0.2))
+    run_session(small_config(seed=12, rep_rate_hz=1e4, sampling="per-slot"))
     b = canonical(run_session(config))
     assert pickle.dumps(a) == pickle.dumps(b)
     c = canonical(run_session(small_config(seed=8)))

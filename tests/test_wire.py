@@ -249,12 +249,26 @@ def test_encode_rejects_non_finite_floats(value):
                                         retardances=(0.0, value, 0.0, 0.0)))
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                   # finite literals that overflow a float
+                                   "1e999", "-1e400"])
 def test_decoder_rejects_non_finite_tokens_then_resyncs(token):
     body = ('{"theta_x":null,"theta_z":' + token + ',"type":"misalignment",'
             '"user":"alice","v":1,"window":1}').encode()
     bad = struct.pack(">I", len(body)) + body
     decoder = FrameDecoder()
     with pytest.raises(WireError, match=f"non-finite number {token}"):
+        decoder.feed(bad + encode_message(SessionEnd()))
+    assert decoder.feed(b"") == [SessionEnd()]
+
+
+def test_decoder_rejects_an_integer_too_long_to_convert_then_resyncs():
+    # Python converts at most 4 300 digits to an int by default.
+    body = ('{"theta_x":null,"theta_z":' + "9" * 5000 + ',"type":'
+            '"misalignment","user":"alice","v":1,"window":1}').encode()
+    bad = struct.pack(">I", len(body)) + body
+    decoder = FrameDecoder()
+    with pytest.raises(WireError, match="malformed frame body: Exceeds the "
+                                        "limit"):
         decoder.feed(bad + encode_message(SessionEnd()))
     assert decoder.feed(b"") == [SessionEnd()]
